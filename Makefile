@@ -148,11 +148,12 @@ bench:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./...
 
 # bench-allocs fails if the persistent per-step hot path regresses above
-# zero heap allocations (Layout + MemMap Start/Complete — partitioned and
-# not — and the raw persistent-request Start/Wait cycle), or if the flight
-# recorder's record path (enabled or disabled) starts allocating.
+# zero heap allocations (Layout + MemMap Start/Complete, and the raw
+# persistent-request Start/Wait cycle on the chan and shmem transports), or
+# if the flight recorder's record path (enabled or disabled) starts
+# allocating.
 bench-allocs:
-	$(GO) test -count=1 -run 'TestPersistentHotPathAllocs|TestPartitionedHotPathAllocs' ./internal/core/
+	$(GO) test -count=1 -run 'TestPersistentHotPathAllocs' ./internal/core/
 	$(GO) test -count=1 -run 'TestPersistentZeroAllocSteps' ./internal/mpi/
 	$(GO) test -count=1 -run 'TestRecordAllocs' ./internal/flight/
 
@@ -161,19 +162,12 @@ bench-allocs:
 BENCH_DIR    ?= bench
 BENCH_FLAGS  ?= -d 16 -I 8 -ranks 2,2,2 -workers 1
 BENCH_IMPLS  ?= layout memmap
-# Implementations additionally baselined with -partitioned (MPI 4.x Pready
-# pipelining); their baselines land as BENCH_<impl>_<dim>_partitioned.json
-# so the partitioned wait-share win is gated alongside the plain runs.
-BENCH_PART_IMPLS ?= layout
 
 # bench-json regenerates the committed baselines in $(BENCH_DIR).
 bench-json:
 	@mkdir -p $(BENCH_DIR)
 	@for impl in $(BENCH_IMPLS); do \
 		$(GO) run ./cmd/weak -impl $$impl $(BENCH_FLAGS) -bench-out $(BENCH_DIR) >/dev/null || exit 1; \
-	done
-	@for impl in $(BENCH_PART_IMPLS); do \
-		$(GO) run ./cmd/weak -impl $$impl $(BENCH_FLAGS) -partitioned -bench-out $(BENCH_DIR) >/dev/null || exit 1; \
 	done
 	@ls $(BENCH_DIR)/BENCH_*.json
 
@@ -191,9 +185,6 @@ bench-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	for impl in $(BENCH_IMPLS); do \
 		$(GO) run ./cmd/weak -impl $$impl $(BENCH_FLAGS) -bench-out $$tmp >/dev/null || exit 1; \
-	done; \
-	for impl in $(BENCH_PART_IMPLS); do \
-		$(GO) run ./cmd/weak -impl $$impl $(BENCH_FLAGS) -partitioned -bench-out $$tmp >/dev/null || exit 1; \
 	done; \
 	status=0; \
 	for new in $$tmp/BENCH_*.json; do \

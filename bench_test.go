@@ -395,15 +395,15 @@ func BenchmarkAblation_MetricsOverhead(b *testing.B) {
 }
 
 // BenchmarkAblation_FlightOverhead measures the flight recorder's cost on
-// the partitioned Layout configuration — the event-densest path (send posts,
-// deliveries, per-partition Pready/Parrived, per-tile start/done). disabled
-// (Config.Flight off — every hook is one nil check) vs enabled must stay
-// within noise on GStencil/s; enabled additionally reports the event volume.
+// the overlapped Layout configuration — an exchange every step, so every
+// step records its persistent send posts, receive posts, deliveries, waits
+// and phase marks. disabled (Config.Flight off — every hook is one nil
+// check) vs enabled must stay within noise on GStencil/s; enabled
+// additionally reports the event volume.
 func BenchmarkAblation_FlightOverhead(b *testing.B) {
 	base := func() harness.Config {
 		cfg := benchConfig(harness.Layout, 64, stencil.Star7(), netmodel.ThetaKNL())
 		cfg.ExpandGhost = false
-		cfg.Partitioned = true
 		return cfg
 	}
 	b.Run("disabled", func(b *testing.B) {

@@ -10,7 +10,7 @@
 //	flightreport -chrome flight-trace.json brick-flight.bin
 //
 // -chrome exports the rings as a Chrome trace (chrome://tracing, Perfetto)
-// with wait and tile intervals reconstructed from their start/done pairs.
+// with wait intervals reconstructed from their start/done pairs.
 package main
 
 import (

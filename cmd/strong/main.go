@@ -38,7 +38,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	fmt.Printf("%-6s %-12s %-10s %-12s %-12s %-12s\n", "ranks", "impl", "dim/rank", "comm_ms", "comp_ms", "GStencil/s")
+	fmt.Printf("%-6s %-12s %-10s %-12s %-12s %-12s %-12s\n", "ranks", "impl", "dim/rank", "comm_ms", "barrier_ms", "comp_ms", "GStencil/s")
 	for procs := 2; ; procs *= 2 {
 		n := procs * procs * procs
 		if n > *maxRanks {
@@ -62,8 +62,8 @@ func main() {
 				fmt.Fprintf(os.Stderr, "strong: %v\n", err)
 				os.Exit(1)
 			}
-			fmt.Printf("%-6d %-12s %-10d %-12.4f %-12.4f %-12.4f\n",
-				n, im.String(), dim, out.Comm.Mean()*1e3, out.Calc.Mean()*1e3, out.GStencils)
+			fmt.Printf("%-6d %-12s %-10d %-12.4f %-12.4f %-12.4f %-12.4f\n",
+				n, im.String(), dim, out.Comm.Mean()*1e3, out.Barrier.Mean()*1e3, out.Calc.Mean()*1e3, out.GStencils)
 		}
 	}
 	if err := common.Finish("strong", res.Registry); err != nil {

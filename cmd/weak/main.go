@@ -137,6 +137,7 @@ func main() {
 	fmt.Printf("pack %s\n", res.Pack.String())
 	fmt.Printf("call %s\n", res.Call.String())
 	fmt.Printf("wait %s\n", res.Wait.String())
+	fmt.Printf("barrier %s (step-loop barriers, outside perf)\n", res.Barrier.String())
 	fmt.Printf("net  %s (modeled; floor %.3e)\n", res.Network.String(), res.NetworkFloor)
 	fmt.Printf("perf %.4f GStencil/s\n", res.GStencils)
 }

@@ -39,10 +39,6 @@ type Baseline struct {
 	Stencil string `json:"stencil"`
 	Steps   int    `json:"steps"`
 	Workers int    `json:"workers"`
-	// Partitioned marks a run with partitioned persistent sends (MPI 4.x
-	// Pready pipelining). It is part of the configuration identity: a
-	// partitioned run gates only against a partitioned baseline.
-	Partitioned bool `json:"partitioned,omitempty"`
 
 	GStencils       float64 `json:"gstencils"` // 1e9 stencil updates/s
 	MsgsPerExchange int     `json:"msgs_per_exchange"`
@@ -73,7 +69,6 @@ func FromResult(res harness.Result, snap *metrics.Snapshot) Baseline {
 		Stencil:         cfg.Stencil.Name,
 		Steps:           cfg.Steps,
 		Workers:         cfg.Workers,
-		Partitioned:     cfg.Partitioned,
 		GStencils:       res.GStencils,
 		MsgsPerExchange: res.MsgsPerExchange,
 		DataBytes:       res.DataBytes,
@@ -100,14 +95,9 @@ func FromResult(res harness.Result, snap *metrics.Snapshot) Baseline {
 
 // Filename returns the canonical baseline file name,
 // BENCH_<impl>_<dim>.json, with impl normalized to file-safe characters
-// (e.g. "Layout-OL" → "LayoutOL", "MPI_Types" → "MPITypes"). Partitioned
-// runs get their own file (BENCH_<impl>_<dim>_partitioned.json) so both
-// variants of one implementation can be gated side by side.
+// (e.g. "Layout-OL" → "LayoutOL", "MPI_Types" → "MPITypes").
 func (b Baseline) Filename() string {
 	impl := strings.NewReplacer("-", "", "_", "").Replace(b.Impl)
-	if b.Partitioned {
-		return fmt.Sprintf("BENCH_%s_%d_partitioned.json", impl, b.Dim)
-	}
 	return fmt.Sprintf("BENCH_%s_%d.json", impl, b.Dim)
 }
 
@@ -152,10 +142,10 @@ func Load(path string) (Baseline, error) {
 // not noise.
 func Compare(base, cur Baseline, maxDrop float64) error {
 	if base.Impl != cur.Impl || base.Dim != cur.Dim || base.Ranks != cur.Ranks ||
-		base.Stencil != cur.Stencil || base.Partitioned != cur.Partitioned {
-		return fmt.Errorf("bench: baselines not comparable: %s/%d/%v/%s/part=%t vs %s/%d/%v/%s/part=%t",
-			base.Impl, base.Dim, base.Ranks, base.Stencil, base.Partitioned,
-			cur.Impl, cur.Dim, cur.Ranks, cur.Stencil, cur.Partitioned)
+		base.Stencil != cur.Stencil {
+		return fmt.Errorf("bench: baselines not comparable: %s/%d/%v/%s vs %s/%d/%v/%s",
+			base.Impl, base.Dim, base.Ranks, base.Stencil,
+			cur.Impl, cur.Dim, cur.Ranks, cur.Stencil)
 	}
 	if base.MsgsPerExchange != cur.MsgsPerExchange {
 		return fmt.Errorf("bench: %s: msgs/exchange changed %d → %d",

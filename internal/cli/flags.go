@@ -20,20 +20,19 @@ import (
 // like the -persistent escape hatch — is defined once and appears in every
 // binary with the same name, default, and help text.
 type Common struct {
-	Stencil     string
-	Machine     string
-	Transport   string
-	Ghost       int
-	Brick       int
-	Iters       int
-	Workers     int
-	Persistent  bool
-	Partitioned bool
-	MetricsOut  string
-	PprofAddr   string
-	Fault       string
-	FaultSeed   int64
-	Watchdog    time.Duration
+	Stencil    string
+	Machine    string
+	Transport  string
+	Ghost      int
+	Brick      int
+	Iters      int
+	Workers    int
+	Persistent bool
+	MetricsOut string
+	PprofAddr  string
+	Fault      string
+	FaultSeed  int64
+	Watchdog   time.Duration
 
 	Checkpoint      bool
 	CheckpointEvery int
@@ -61,7 +60,6 @@ func RegisterCommon(ghostDefault, brickDefault, itersDefault int) *Common {
 	flag.IntVar(&c.Iters, "I", itersDefault, "timed iterations (timesteps)")
 	flag.IntVar(&c.Workers, "workers", 0, "compute workers per rank (0 = BRICK_WORKERS or GOMAXPROCS)")
 	flag.BoolVar(&c.Persistent, "persistent", true, "use persistent pre-matched exchange plans; false falls back to per-step tag matching")
-	flag.BoolVar(&c.Partitioned, "partitioned", false, "split persistent sends into tile-aligned partitions (MPI 4.x Pready pipelining); bit-identical results, requires -persistent")
 	flag.StringVar(&c.MetricsOut, "metrics-out", "", "write a metrics snapshot JSON (brick-metrics/v1) to this file")
 	flag.StringVar(&c.PprofAddr, "pprof-addr", "", "serve /metrics, /metrics.json, /debug/pprof on this address (e.g. localhost:6060)")
 	flag.StringVar(&c.Fault, "fault", "", "fault-injection spec, e.g. delay:rank=*:mean=200us or panic:rank=1:step=3 (see docs/robustness.md)")
@@ -72,7 +70,7 @@ func RegisterCommon(ghostDefault, brickDefault, itersDefault int) *Common {
 	flag.StringVar(&c.CheckpointDir, "ckpt-dir", "", "spill committed checkpoint epochs to this directory (brick-ckpt/v1 files)")
 	flag.IntVar(&c.MaxRecoveries, "max-recoveries", 3, "recovery budget under -ckpt before the run fails with the original abort")
 	flag.BoolVar(&c.VerifyCRC, "verify-crc", false, "verify payload CRCs at receive; detected corruption aborts (and recovers under -ckpt)")
-	flag.BoolVar(&c.Flight, "flight", false, "record per-rank flight-recorder rings (post/deliver/wait/Pready/tile events); on stall or abort a brick-flight/v1 artifact is written to -flight-out (inspect with flightreport)")
+	flag.BoolVar(&c.Flight, "flight", false, "record per-rank flight-recorder rings (post/deliver/wait/step/phase events); on stall or abort a brick-flight/v1 artifact is written to -flight-out (inspect with flightreport)")
 	flag.IntVar(&c.FlightDepth, "flight-depth", 0, "per-rank flight ring capacity in events (0 = default 1024)")
 	flag.StringVar(&c.FlightOut, "flight-out", "brick-flight.bin", "path of the brick-flight/v1 artifact written when a -flight run fails")
 	return c
@@ -127,7 +125,6 @@ func (c *Common) Apply(cfg *harness.Config, r Resolved) {
 	cfg.Workers = c.Workers
 	cfg.Metrics = r.Registry
 	cfg.DisablePersistent = !c.Persistent
-	cfg.Partitioned = c.Partitioned
 	cfg.Fault = c.Fault
 	cfg.FaultSeed = c.FaultSeed
 	cfg.Watchdog = c.Watchdog

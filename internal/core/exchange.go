@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/bricklab/brick/internal/layout"
-	"github.com/bricklab/brick/internal/metrics"
 	"github.com/bricklab/brick/internal/mpi"
 	"github.com/bricklab/brick/internal/shmem"
 )
@@ -115,13 +114,9 @@ type ExchangeView struct {
 	precvs     []*mpi.Request
 	psends     []*mpi.Request
 	pall       []*mpi.Request
-	ps         *partState // non-nil when compiled with WithPartitions
 }
 
-var (
-	_ Exchanger            = (*ExchangeView)(nil)
-	_ PartitionedExchanger = (*ExchangeView)(nil)
-)
+var _ Exchanger = (*ExchangeView)(nil)
 
 // Degradation reasons recorded in ExchangePlan.Degraded and used as the
 // reason label of the exchange_degraded_total metric.
@@ -142,24 +137,12 @@ const (
 )
 
 type sendView struct {
-	dir   layout.Set
-	tag   int
-	view  *shmem.View  // nil when the run collapses to one span or the window is a copy
-	runs  []MsgSpec    // the surface runs behind the window (len > 1 windows)
-	spans []Span       // every run's span in window order (partition compile)
-	flat  []float64    // the contiguous window to send
-	req   *mpi.Request // persistent send endpoint, nil in one-shot mode
-}
-
-// aliased reports whether the window aliases storage (a single-run slice
-// of storage, or a mapped view): the window needs no refresh copies before
-// a send partition fires. Copy windows — heap storage, map failures,
-// unmapped arenas, mid-run Degrade — return false.
-func (sv *sendView) aliased() bool {
-	if sv.view != nil {
-		return sv.view.Mapped()
-	}
-	return sv.runs == nil
+	dir  layout.Set
+	tag  int
+	view *shmem.View  // nil when the run collapses to one span or the window is a copy
+	runs []MsgSpec    // the surface runs behind the window (len > 1 windows)
+	flat []float64    // the contiguous window to send
+	req  *mpi.Request // persistent send endpoint, nil in one-shot mode
 }
 
 // NewExchangeView precomputes per-neighbor send views and compiles the
@@ -191,10 +174,6 @@ func NewExchangeView(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) (*
 			continue
 		}
 		sv := sendView{dir: dir, tag: makeTag(dir, 0)}
-		sv.spans = make([]Span, len(runs))
-		for i, r := range runs {
-			sv.spans[i] = r.Span
-		}
 		switch {
 		case len(runs) == 1:
 			// Already contiguous; a view would be redundant.
@@ -231,14 +210,6 @@ func NewExchangeView(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) (*
 	// the same program order on every rank, so persistent endpoints pair
 	// deterministically.
 	plan := ExchangePlan{Variant: "memmap", Persistent: o.persistent}
-	var tileOf []int
-	if len(o.tiles) > 0 {
-		if !o.persistent {
-			panic("core: WithPartitions requires a persistent plan")
-		}
-		tileOf = tileOwnerTable(o.tiles, e.d.NumBricks())
-		ev.ps = newPartState(len(o.tiles), bs.Data)
-	}
 	for _, u := range e.d.order {
 		src := e.rank[u]
 		if src < 0 {
@@ -262,14 +233,7 @@ func NewExchangeView(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) (*
 			continue
 		}
 		plan.Sends = append(plan.Sends, PlanMsg{Peer: dst, Tag: sv.tag, Bytes: int64(8 * len(sv.flat))})
-		switch {
-		case ev.ps != nil:
-			mp := compileWindowParts(sv.spans, chunk, tileOf)
-			sv.req = e.comm.PsendInit(dst, sv.tag, sv.flat, mp.bounds)
-			ev.psends = append(ev.psends, sv.req)
-			ev.ps.addMsg(sv.req, sv, mp)
-			plan.Partitions = append(plan.Partitions, len(mp.owners))
-		case o.persistent:
+		if o.persistent {
 			sv.req = e.comm.SendInit(dst, sv.tag, sv.flat)
 			ev.psends = append(ev.psends, sv.req)
 		}
@@ -387,9 +351,7 @@ func (ev *ExchangeView) gatherSends() {
 // only surface bricks are read while the exchange is in flight, so
 // interior computation is safe to run concurrently.
 func (ev *ExchangeView) Start() int {
-	if ev.degraded && ev.ps == nil {
-		// Partitioned plans skip the bulk gather: each partition's window
-		// segment is refreshed right before its Pready fires instead.
+	if ev.degraded {
 		t0 := time.Now()
 		ev.gatherSends()
 		ev.AddPack(time.Since(t0))
@@ -399,10 +361,6 @@ func (ev *ExchangeView) Start() int {
 	if ev.persistent {
 		mpi.Startall(ev.precvs)
 		mpi.Startall(ev.psends)
-		if ev.ps != nil {
-			ev.ps.arm()
-			ev.ps.readyAll()
-		}
 		n = len(ev.psends)
 	} else {
 		n = ev.postOneShot()
@@ -411,58 +369,6 @@ func (ev *ExchangeView) Start() int {
 	ev.RecordStart()
 	return n
 }
-
-// StartRecvs arms this step's receives; ghost groups may be written by
-// in-flight deliveries from here until Complete returns.
-func (ev *ExchangeView) StartRecvs() {
-	t0 := time.Now()
-	mpi.Startall(ev.precvs)
-	ev.AddCall(time.Since(t0))
-}
-
-// StartSends arms the next exchange's sends with every partition unready.
-// Copy-based (degraded) windows are NOT gathered here — each partition's
-// segment is refreshed on its owning tile's ReadyTile, so the pack copy
-// overlaps sibling tiles' compute. Accounts one plan start.
-func (ev *ExchangeView) StartSends() int {
-	t0 := time.Now()
-	mpi.Startall(ev.psends)
-	if ev.ps != nil {
-		ev.ps.arm()
-	}
-	ev.AddCall(time.Since(t0))
-	ev.RecordStart()
-	return len(ev.psends)
-}
-
-// ReadyTile refreshes and fires every armed partition owned by surface
-// tile t. Called from pool worker goroutines; safe for distinct tiles
-// concurrently.
-func (ev *ExchangeView) ReadyTile(t int) {
-	if ev.ps != nil {
-		ev.ps.readyTile(t)
-	}
-}
-
-// ReadyAll marks every armed partition ready (the prologue path).
-func (ev *ExchangeView) ReadyAll() {
-	if ev.ps != nil {
-		ev.ps.readyAll()
-	}
-}
-
-// Partitions returns the total partition count across sends (zero when the
-// plan was compiled without WithPartitions).
-func (ev *ExchangeView) Partitions() int {
-	if ev.ps == nil {
-		return 0
-	}
-	return ev.ps.total
-}
-
-// SetPartitionMetrics attaches the partition instrument series (no-op on an
-// unpartitioned plan or nil registry).
-func (ev *ExchangeView) SetPartitionMetrics(reg *metrics.Registry) { ev.ps.setMetrics(reg) }
 
 // postOneShot is the legacy matching-engine path (-persistent=false).
 func (ev *ExchangeView) postOneShot() int {
@@ -503,11 +409,6 @@ func (ev *ExchangeView) Complete() {
 		ev.e.Wait()
 	}
 	ev.AddWait(time.Since(t0))
-	if ev.ps != nil {
-		if d := ev.ps.drainPack(); d > 0 {
-			ev.AddPack(d)
-		}
-	}
 }
 
 // Begin posts one exchange; kept as an alias of Start for callers of the

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"github.com/bricklab/brick/internal/metrics"
 	"github.com/bricklab/brick/internal/mpi"
 )
 
@@ -23,13 +22,9 @@ type LayoutExchange struct {
 	precvs     []*mpi.Request
 	psends     []*mpi.Request
 	pall       []*mpi.Request // precvs ++ psends, for one Waitall
-	ps         *partState     // non-nil when compiled with WithPartitions
 }
 
-var (
-	_ Exchanger            = (*LayoutExchange)(nil)
-	_ PartitionedExchanger = (*LayoutExchange)(nil)
-)
+var _ Exchanger = (*LayoutExchange)(nil)
 
 // NewLayoutExchange compiles the exchanger's message plan against bs. With
 // WithPersistentPlan(false) the compiled plan is kept (for reporting) but
@@ -43,14 +38,6 @@ func NewLayoutExchange(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) 
 	lx := &LayoutExchange{e: e, bs: bs, persistent: o.persistent}
 	chunk := bs.Chunk()
 	plan := ExchangePlan{Variant: "spans", Persistent: o.persistent}
-	var tileOf []int
-	if len(o.tiles) > 0 {
-		if !o.persistent {
-			panic("core: WithPartitions requires a persistent plan")
-		}
-		tileOf = tileOwnerTable(o.tiles, e.d.NumBricks())
-		lx.ps = newPartState(len(o.tiles), bs.Data)
-	}
 	for _, m := range e.d.recvMsgs {
 		src := e.rank[m.Dir]
 		if src < 0 {
@@ -69,14 +56,7 @@ func NewLayoutExchange(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) 
 		}
 		buf := bs.Data[m.Span.Start*chunk : m.Span.PaddedEnd()*chunk]
 		plan.Sends = append(plan.Sends, PlanMsg{Peer: dst, Tag: m.Tag, Bytes: int64(8 * len(buf))})
-		switch {
-		case lx.ps != nil:
-			mp := compileWindowParts([]Span{m.Span}, chunk, tileOf)
-			req := e.comm.PsendInit(dst, m.Tag, buf, mp.bounds)
-			lx.psends = append(lx.psends, req)
-			lx.ps.addMsg(req, nil, mp)
-			plan.Partitions = append(plan.Partitions, len(mp.owners))
-		case o.persistent:
+		if o.persistent {
 			lx.psends = append(lx.psends, e.comm.SendInit(dst, m.Tag, buf))
 		}
 	}
@@ -96,13 +76,6 @@ func (lx *LayoutExchange) Start() int {
 	if lx.persistent {
 		mpi.Startall(lx.precvs)
 		mpi.Startall(lx.psends)
-		if lx.ps != nil {
-			// Combined Start has no tile callbacks: every partition is
-			// ready the moment the sends are armed, which reproduces the
-			// unpartitioned wire behavior bit-for-bit.
-			lx.ps.arm()
-			lx.ps.readyAll()
-		}
 		n = len(lx.psends)
 	} else {
 		lx.e.PostReceives(lx.bs)
@@ -113,57 +86,6 @@ func (lx *LayoutExchange) Start() int {
 	return n
 }
 
-// StartRecvs arms this step's receives: ghost bricks may be written by
-// in-flight deliveries from here until Complete returns.
-func (lx *LayoutExchange) StartRecvs() {
-	t0 := time.Now()
-	mpi.Startall(lx.precvs)
-	lx.AddCall(time.Since(t0))
-}
-
-// StartSends arms the next exchange's sends with every partition unready;
-// the surface pass then releases them tile by tile through ReadyTile.
-// Accounts one plan start (the pipelined schedule calls StartRecvs and
-// StartSends once per step, like the combined Start).
-func (lx *LayoutExchange) StartSends() int {
-	t0 := time.Now()
-	mpi.Startall(lx.psends)
-	if lx.ps != nil {
-		lx.ps.arm()
-	}
-	lx.AddCall(time.Since(t0))
-	lx.RecordStart()
-	return len(lx.psends)
-}
-
-// ReadyTile fires Pready for every armed partition owned by surface tile t.
-// Called from pool worker goroutines; safe for distinct tiles concurrently.
-func (lx *LayoutExchange) ReadyTile(t int) {
-	if lx.ps != nil {
-		lx.ps.readyTile(t)
-	}
-}
-
-// ReadyAll marks every armed partition ready (the prologue path).
-func (lx *LayoutExchange) ReadyAll() {
-	if lx.ps != nil {
-		lx.ps.readyAll()
-	}
-}
-
-// Partitions returns the total partition count across sends (zero when the
-// plan was compiled without WithPartitions).
-func (lx *LayoutExchange) Partitions() int {
-	if lx.ps == nil {
-		return 0
-	}
-	return lx.ps.total
-}
-
-// SetPartitionMetrics attaches the partition instrument series (no-op on an
-// unpartitioned plan or nil registry).
-func (lx *LayoutExchange) SetPartitionMetrics(reg *metrics.Registry) { lx.ps.setMetrics(reg) }
-
 // Complete blocks until every transfer of the current Start has finished.
 func (lx *LayoutExchange) Complete() {
 	t0 := time.Now()
@@ -173,11 +95,6 @@ func (lx *LayoutExchange) Complete() {
 		lx.e.Wait()
 	}
 	lx.AddWait(time.Since(t0))
-	if lx.ps != nil {
-		if d := lx.ps.drainPack(); d > 0 {
-			lx.AddPack(d)
-		}
-	}
 }
 
 // Exchange runs one full Start+Complete cycle, returning the sends posted.

@@ -36,33 +36,6 @@ type Exchanger interface {
 	Close() error
 }
 
-// PartitionedExchanger is the pipelined refinement of Exchanger compiled by
-// WithPartitions: each persistent send is split into partitions aligned
-// with the worker pool's surface tiles, so the wire leg of a message starts
-// while sibling tiles are still computing. The per-step schedule becomes
-//
-//	StartRecvs()  — arm this step's receives (ghosts may now be written)
-//	...interior compute overlaps in-flight deliveries...
-//	Complete()    — block until all of this step's transfers delivered
-//	StartSends()  — arm the NEXT exchange's sends with all partitions unready
-//	...surface pass; each finished tile t calls ReadyTile(t)...
-//
-// ReadyTile is called from pool worker goroutines and must be safe to call
-// concurrently for distinct tiles; all other methods keep the Exchanger
-// single-driver contract. ReadyAll marks every partition of armed sends
-// ready at once (the prologue, and any caller without tile callbacks).
-// Partitions reports the total partition count across sends. The combined
-// Start() remains valid — it performs StartRecvs, StartSends, ReadyAll —
-// so non-pipelined callers see the unpartitioned behavior bit-for-bit.
-type PartitionedExchanger interface {
-	Exchanger
-	StartRecvs()
-	StartSends() int
-	ReadyTile(tile int)
-	ReadyAll()
-	Partitions() int
-}
-
 // PlanMsg is one compiled message of an exchange plan.
 type PlanMsg struct {
 	Peer  int   `json:"peer"`
@@ -91,14 +64,6 @@ type ExchangePlan struct {
 	// from the Digest: a degraded plan moves the same bytes between the
 	// same peers, it just pays extra on-node copies.
 	Degraded string `json:"degraded,omitempty"`
-	// Partitions, when the plan was compiled with WithPartitions, holds the
-	// per-send partition count aligned with Sends (Partitions[i] partitions
-	// for Sends[i]). Nil for unpartitioned plans. Unlike Persistent and
-	// Degraded it IS part of the Digest — partition boundaries change when
-	// messages fire, which is exactly what the digest section records — but
-	// only as an appended section, so a partitioned plan's digest differs
-	// from its unpartitioned twin solely in that section.
-	Partitions []int `json:"partitions,omitempty"`
 }
 
 // SendBytes totals the payload of one round of sends.
@@ -132,9 +97,6 @@ func (p *ExchangePlan) Digest() string {
 	for _, m := range p.Recvs {
 		fmt.Fprintf(h, "r %d %d %d\n", m.Peer, m.Tag, m.Bytes)
 	}
-	for i, n := range p.Partitions {
-		fmt.Fprintf(h, "p %d %d\n", i, n)
-	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -148,18 +110,11 @@ type PlanSummary struct {
 	Recvs      int    `json:"recvs"`
 	SendBytes  int64  `json:"send_bytes"`
 	RecvBytes  int64  `json:"recv_bytes"`
-	// Partitions is the total partition count across all sends (zero for
-	// unpartitioned plans).
-	Partitions int    `json:"partitions,omitempty"`
 	Digest     string `json:"digest"`
 }
 
 // Summary computes the plan's summary.
 func (p *ExchangePlan) Summary() PlanSummary {
-	total := 0
-	for _, n := range p.Partitions {
-		total += n
-	}
 	return PlanSummary{
 		Variant:    p.Variant,
 		Persistent: p.Persistent,
@@ -168,7 +123,6 @@ func (p *ExchangePlan) Summary() PlanSummary {
 		Recvs:      len(p.Recvs),
 		SendBytes:  p.SendBytes(),
 		RecvBytes:  p.RecvBytes(),
-		Partitions: total,
 		Digest:     p.Digest(),
 	}
 }
@@ -197,7 +151,6 @@ type PlanOption func(*planOpts)
 
 type planOpts struct {
 	persistent bool
-	tiles      [][2]int
 }
 
 func defaultPlanOpts() planOpts { return planOpts{persistent: true} }
@@ -209,17 +162,6 @@ func WithPersistentPlan(on bool) PlanOption {
 	return func(o *planOpts) { o.persistent = on }
 }
 
-// WithPartitions compiles the plan's persistent sends as partitioned
-// requests aligned with the given surface tiles (each tile a [lo, hi)
-// storage-brick range, as produced by stencil.TileSpans over the surface
-// spans). The resulting exchanger implements PartitionedExchanger; tile
-// index t in ReadyTile(t) refers to tiles[t]. Requires a persistent plan —
-// constructors panic on WithPartitions + WithPersistentPlan(false). An
-// empty tile list is a no-op (plan stays unpartitioned).
-func WithPartitions(tiles [][2]int) PlanOption {
-	return func(o *planOpts) { o.tiles = tiles }
-}
-
 // ResolvePlanOptions applies opts over the defaults and reports whether
 // the plan should be persistent. Exchanger implementations outside this
 // package use it to interpret their variadic options.
@@ -229,16 +171,6 @@ func ResolvePlanOptions(opts []PlanOption) bool {
 		f(&o)
 	}
 	return o.persistent
-}
-
-// ResolvePartitionTiles applies opts over the defaults and returns the
-// partition tile list (nil when unpartitioned).
-func ResolvePartitionTiles(opts []PlanOption) [][2]int {
-	o := defaultPlanOpts()
-	for _, f := range opts {
-		f(&o)
-	}
-	return o.tiles
 }
 
 // PlanBase carries the plan, timing, and reuse-stat state shared by every

@@ -58,7 +58,6 @@ func All() []Spec {
 		{"fig16", "(V2) GPU strong scaling [modeled]", Fig16},
 		{"fig17", "(V2) GPU strong scaling comm/comp decomposition [modeled]", Fig17},
 		{"fig18", "Page-size impact on MemMap communication time", Fig18},
-		{"figpart", "Partitioned persistent sends: wait-share reduction [extension]", FigPart},
 		{"table3", "Qualitative cost comparison (paper Table 3)", Table3},
 	}
 }

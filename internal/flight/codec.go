@@ -22,16 +22,12 @@ const recSize = 3*8 + 4*4 + 1
 // was taken — the StallReport's pending ops, mirrored here so the artifact
 // is self-contained and the flight package stays independent of
 // internal/mpi. Kind is the StallReport op kind string ("recv-posted",
-// "psend-partial", ...).
+// "psend-active", ...).
 type PendingRef struct {
 	Kind string `json:"kind"`
 	Src  int    `json:"src"`
 	Dst  int    `json:"dst"`
 	Tag  int    `json:"tag"`
-	// Partitions and Unready mirror a partitioned send's progress: how
-	// many partitions the cycle has, and which were never marked ready.
-	Partitions int   `json:"partitions,omitempty"`
-	Unready    []int `json:"unready,omitempty"`
 }
 
 func (p PendingRef) String() string {

@@ -13,7 +13,7 @@ func sampleSnapshot() *Snapshot {
 		Detail: "mpi: watchdog: no exchange progress for 250ms",
 		Depth:  1024,
 		Pending: []PendingRef{
-			{Kind: "psend-partial", Src: 3, Dst: 5, Tag: 41, Partitions: 4, Unready: []int{2}},
+			{Kind: "psend-active", Src: 3, Dst: 5, Tag: 41},
 			{Kind: "recv-posted", Src: 1, Dst: 0, Tag: 17},
 		},
 		Ranks: []RankLog{
@@ -146,5 +146,28 @@ func TestSnapshotCapture(t *testing.T) {
 	}
 	if s.Ranks[1].Total != 1 || s.Ranks[1].Events[0].Kind != KindSendPost {
 		t.Fatalf("rank 1 log = %+v", s.Ranks[1])
+	}
+}
+
+// TestKindCodesPinned: event kinds are encoded by number in brick-flight/v1
+// artifacts, so retiring a kind must not shift the ones after it. Pin the
+// codes on both sides of the retired slots (6, 7, 9, 10).
+func TestKindCodesPinned(t *testing.T) {
+	for _, c := range []struct {
+		k    Kind
+		code uint8
+		name string
+	}{
+		{KindWaitDone, 5, "wait-done"},
+		{KindAbort, 8, "abort"},
+		{KindStep, 11, "step"},
+		{KindHeartbeatMiss, 17, "heartbeat-miss"},
+	} {
+		if uint8(c.k) != c.code || c.k.String() != c.name {
+			t.Errorf("kind %q = code %d, want %q = code %d", c.k, uint8(c.k), c.name, c.code)
+		}
+	}
+	if got := Kind(6).String(); got != "kind(6)" {
+		t.Errorf("retired code 6 renders as %q, want kind(6)", got)
 	}
 }

@@ -1,8 +1,8 @@
 // Package flight is the always-on flight recorder: a per-rank,
 // fixed-capacity, overwrite-oldest ring of fixed-size binary event records
 // capturing the runtime's communication and compute milestones — sends
-// posted, receives posted, deliveries, waits, partition Pready/Parrived,
-// surface tiles, step/phase transitions, checkpoints, recoveries, aborts.
+// posted, receives posted, deliveries, waits, step/phase transitions,
+// checkpoints, recoveries, aborts, and tcp connection lifecycle.
 //
 // The recorder exists for post-mortem forensics: when the watchdog trips,
 // a rank aborts, or the recovery budget runs out, every rank's ring is
@@ -26,7 +26,10 @@ import (
 )
 
 // Kind classifies one flight event. The numeric values are part of the
-// brick-flight/v1 format; append, never renumber.
+// brick-flight/v1 format; append, never renumber. Retired kinds keep
+// their codes as _ entries, so artifacts written while they existed still
+// decode every surviving kind under its own name (a retired code renders
+// as kind(N)).
 type Kind uint8
 
 // Event kinds. Start/Done pairs are recorded as two point events rather
@@ -39,11 +42,11 @@ const (
 	KindDeliver        // payload delivered into this rank's buffer; Seq = sender's
 	KindWaitStart      // Request.Wait entered
 	KindWaitDone       // Request.Wait returned
-	KindPready         // sender marked partition Part ready; Seq = cycle's send
-	KindParrived       // partition Part delivered into this rank's buffer
+	_                  // 6: retired (partition marked ready)
+	_                  // 7: retired (partition arrived)
 	KindAbort          // this rank originated a world abort
-	KindTileStart      // surface tile Part began executing
-	KindTileDone       // surface tile Part finished (before its Pready fires)
+	_                  // 9: retired (surface tile started)
+	_                  // 10: retired (surface tile finished)
 	KindStep           // step-loop entered absolute step Step
 	KindPhase          // step-loop phase transition; Part is a Phase* code
 	KindCkpt           // checkpoint epoch deposited at step Step
@@ -66,16 +69,8 @@ func (k Kind) String() string {
 		return "wait-start"
 	case KindWaitDone:
 		return "wait-done"
-	case KindPready:
-		return "pready"
-	case KindParrived:
-		return "parrived"
 	case KindAbort:
 		return "abort"
-	case KindTileStart:
-		return "tile-start"
-	case KindTileDone:
-		return "tile-done"
 	case KindStep:
 		return "step"
 	case KindPhase:
@@ -99,7 +94,7 @@ func (k Kind) String() string {
 const (
 	PhaseExchange int32 = iota // exchange posting/completion span
 	PhaseInterior              // interior compute (overlaps the wire)
-	PhaseSurface               // surface compute (feeds Pready under -partitioned)
+	PhaseSurface               // surface compute (after the exchange completes)
 )
 
 func phaseName(code int32) string {
@@ -124,7 +119,7 @@ type Event struct {
 	Step  int32  // absolute step at record time; -1 before the first SetStep
 	Peer  int32  // peer rank; -1 when none (or a wildcard receive)
 	Tag   int32  // message tag; -1 when none (or a wildcard receive)
-	Part  int32  // partition index, tile index, or Phase* code; -1 when none
+	Part  int32  // Phase* code of a KindPhase event; -1 otherwise
 	Kind  Kind
 }
 
@@ -153,11 +148,8 @@ func (e Event) writeFields(b *strings.Builder) {
 	case KindPhase:
 		fmt.Fprintf(b, " phase=%s", phaseName(e.Part))
 		return
-	case KindTileStart, KindTileDone:
-		fmt.Fprintf(b, " tile=%d", e.Part)
-		return
 	case KindSendPost, KindRecvPost, KindDeliver, KindWaitStart, KindWaitDone,
-		KindPready, KindParrived, KindConnect, KindDisconnect, KindHeartbeatMiss:
+		KindConnect, KindDisconnect, KindHeartbeatMiss:
 		if e.Peer >= 0 {
 			fmt.Fprintf(b, " peer=%d", e.Peer)
 		} else {
@@ -168,9 +160,6 @@ func (e Event) writeFields(b *strings.Builder) {
 		} else {
 			b.WriteString(" tag=any")
 		}
-	}
-	if e.Part >= 0 && (e.Kind == KindPready || e.Kind == KindParrived || e.Kind == KindDeliver) {
-		fmt.Fprintf(b, " part=%d", e.Part)
 	}
 	if e.Seq > 0 {
 		fmt.Fprintf(b, " seq=%d", e.Seq)
@@ -361,7 +350,7 @@ func (g *Ring) Tail(n int) []Event {
 }
 
 // DefaultDepth is the per-rank ring capacity when none is configured:
-// enough for several steps of an 8-rank partitioned exchange while keeping
+// enough for several steps of an 8-rank persistent exchange while keeping
 // a 1024-rank world's recorder under ~50 MB.
 const DefaultDepth = 1024
 

@@ -132,7 +132,7 @@ func TestConcurrentRecording(t *testing.T) {
 				case 0:
 					r.Send(int32(w), 5, -1, 64)
 				case 1:
-					r.Record(KindTileStart, -1, -1, int32(i), 0, 0)
+					r.Record(KindPhase, -1, -1, int32(i), 0, 0)
 				default:
 					r.StepMark(i)
 				}
@@ -162,10 +162,10 @@ func TestEventRendering(t *testing.T) {
 			"send-post step=2 peer=3 tag=41 seq=7 bytes=512"},
 		{Event{Kind: KindRecvPost, Step: 0, Peer: -1, Tag: -1, Part: -1},
 			"recv-post step=0 peer=any tag=any"},
-		{Event{Kind: KindPready, Step: 1, Peer: 5, Tag: 41, Part: 2, Seq: 3, Bytes: 64},
-			"pready step=1 peer=5 tag=41 part=2 seq=3 bytes=64"},
-		{Event{Kind: KindTileStart, Step: 4, Peer: -1, Tag: -1, Part: 7},
-			"tile-start step=4 tile=7"},
+		{Event{Kind: KindDeliver, Step: 1, Peer: 5, Tag: 41, Part: -1, Seq: 3, Bytes: 64},
+			"deliver step=1 peer=5 tag=41 seq=3 bytes=64"},
+		{Event{Kind: KindConnect, Step: 4, Peer: 2, Tag: -1, Part: -1},
+			"connect step=4 peer=2 tag=any"},
 		{Event{Kind: KindPhase, Step: 3, Peer: -1, Tag: -1, Part: PhaseSurface},
 			"phase step=3 phase=surface"},
 		{Event{Kind: KindAbort, Step: -1, Peer: -1, Tag: -1, Part: -1},
@@ -187,7 +187,7 @@ func TestRecordAllocs(t *testing.T) {
 	r := New(1, 64).Rank(0)
 	r.Send(1, 7, -1, 8) // create the stream counter outside the measured loop
 	if n := testing.AllocsPerRun(100, func() {
-		r.Record(KindTileStart, -1, -1, 3, 0, 0)
+		r.Record(KindPhase, -1, -1, PhaseSurface, 0, 0)
 	}); n != 0 {
 		t.Fatalf("Record allocates %.1f per op, want 0", n)
 	}
@@ -203,7 +203,7 @@ func TestRecordAllocs(t *testing.T) {
 	}
 	var nilRing *Ring
 	if n := testing.AllocsPerRun(100, func() {
-		nilRing.Record(KindTileStart, -1, -1, 3, 0, 0)
+		nilRing.Record(KindPhase, -1, -1, PhaseSurface, 0, 0)
 		nilRing.Send(1, 7, -1, 8)
 	}); n != 0 {
 		t.Fatalf("disabled path allocates %.1f per op, want 0", n)

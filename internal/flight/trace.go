@@ -9,9 +9,8 @@ import (
 
 // ToTrace converts a flight snapshot into trace events so recorder output
 // flows through the existing Chrome-trace tooling (cmd/obsreport,
-// chrome://tracing). Start/Done pairs — waits keyed by (peer, tag), tiles
-// keyed by tile index — are fused into intervals; everything else becomes
-// a zero-duration marker. A Start whose Done never happened is emitted as
+// chrome://tracing). Wait Start/Done pairs, keyed by (peer, tag), are fused
+// into intervals; everything else becomes a zero-duration marker. A Start whose Done never happened is emitted as
 // a marker named "...(unfinished)": in a stall artifact that marker is the
 // smoking gun, so it must survive conversion.
 func ToTrace(s *Snapshot) []trace.Event {
@@ -20,17 +19,14 @@ func ToTrace(s *Snapshot) []trace.Event {
 	}
 	var out []trace.Event
 	for _, rl := range s.Ranks {
-		type openKey struct {
-			kind Kind
-			a, b int32
-		}
+		type openKey struct{ peer, tag int32 }
 		open := map[openKey]Event{}
 		for _, e := range rl.Events {
 			switch e.Kind {
 			case KindWaitStart:
-				open[openKey{KindWaitStart, e.Peer, e.Tag}] = e
+				open[openKey{e.Peer, e.Tag}] = e
 			case KindWaitDone:
-				k := openKey{KindWaitStart, e.Peer, e.Tag}
+				k := openKey{e.Peer, e.Tag}
 				if s0, ok := open[k]; ok {
 					delete(open, k)
 					out = append(out, interval(rl.Rank, trace.KindWait,
@@ -38,29 +34,13 @@ func ToTrace(s *Snapshot) []trace.Event {
 				} else {
 					out = append(out, marker(rl.Rank, trace.KindWait, "wait-done", e))
 				}
-			case KindTileStart:
-				open[openKey{KindTileStart, e.Part, 0}] = e
-			case KindTileDone:
-				k := openKey{KindTileStart, e.Part, 0}
-				if s0, ok := open[k]; ok {
-					delete(open, k)
-					out = append(out, interval(rl.Rank, trace.KindTile,
-						fmt.Sprintf("tile %d", e.Part), s0, e))
-				} else {
-					out = append(out, marker(rl.Rank, trace.KindTile, fmt.Sprintf("tile %d done", e.Part), e))
-				}
 			default:
 				out = append(out, marker(rl.Rank, pointKind(e.Kind), pointName(e), e))
 			}
 		}
 		for _, s0 := range open {
-			name := fmt.Sprintf("tile %d (unfinished)", s0.Part)
-			kind := trace.KindTile
-			if s0.Kind == KindWaitStart {
-				name = fmt.Sprintf("wait peer=%d tag=%d (unfinished)", s0.Peer, s0.Tag)
-				kind = trace.KindWait
-			}
-			out = append(out, marker(rl.Rank, kind, name, s0))
+			out = append(out, marker(rl.Rank, trace.KindWait,
+				fmt.Sprintf("wait peer=%d tag=%d (unfinished)", s0.Peer, s0.Tag), s0))
 		}
 	}
 	return out
@@ -88,10 +68,8 @@ func pointKind(k Kind) trace.Kind {
 		return trace.KindSend
 	case KindRecvPost:
 		return trace.KindRecv
-	case KindDeliver, KindParrived:
+	case KindDeliver:
 		return trace.KindDeliver
-	case KindPready:
-		return trace.KindPready
 	case KindStep:
 		return trace.KindStep
 	case KindPhase:
@@ -115,10 +93,6 @@ func pointName(e Event) string {
 		return fmt.Sprintf("recv<-%d tag=%d", e.Peer, e.Tag)
 	case KindDeliver:
 		return fmt.Sprintf("deliver<-%d tag=%d seq=%d", e.Peer, e.Tag, e.Seq)
-	case KindPready:
-		return fmt.Sprintf("pready->%d tag=%d part=%d", e.Peer, e.Tag, e.Part)
-	case KindParrived:
-		return fmt.Sprintf("parrived<-%d tag=%d part=%d", e.Peer, e.Tag, e.Part)
 	case KindStep:
 		return fmt.Sprintf("step %d", e.Step)
 	case KindPhase:

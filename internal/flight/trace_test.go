@@ -7,16 +7,16 @@ import (
 	"github.com/bricklab/brick/internal/trace"
 )
 
-// TestToTracePairsIntervals: wait start/done and tile start/done pairs
-// become intervals; a start with no done survives as an "(unfinished)"
-// marker — the smoking gun a stall export must keep visible.
+// TestToTracePairsIntervals: wait start/done pairs become intervals; a
+// start with no done survives as an "(unfinished)" marker — the smoking gun
+// a stall export must keep visible.
 func TestToTracePairsIntervals(t *testing.T) {
 	s := &Snapshot{Ranks: []RankLog{{Rank: 2, Events: []Event{
 		{Nanos: 1000, Kind: KindWaitStart, Peer: 3, Tag: 41, Part: -1},
 		{Nanos: 5000, Kind: KindWaitDone, Peer: 3, Tag: 41, Part: -1},
-		{Nanos: 6000, Kind: KindTileStart, Peer: -1, Tag: -1, Part: 7},
-		{Nanos: 9000, Kind: KindTileDone, Peer: -1, Tag: -1, Part: 7},
-		{Nanos: 9500, Kind: KindTileStart, Peer: -1, Tag: -1, Part: 8},
+		{Nanos: 6000, Kind: KindWaitStart, Peer: 4, Tag: 9, Part: -1},
+		{Nanos: 9000, Kind: KindWaitDone, Peer: 4, Tag: 9, Part: -1},
+		{Nanos: 9500, Kind: KindWaitStart, Peer: 5, Tag: 9, Part: -1},
 		{Nanos: 9900, Kind: KindSendPost, Peer: 1, Tag: 17, Part: -1, Seq: 4, Bytes: 64},
 	}}}}
 	evs := ToTrace(s)
@@ -31,18 +31,18 @@ func TestToTracePairsIntervals(t *testing.T) {
 	if !ok || w.Kind != trace.KindWait || w.Dur != 4000 {
 		t.Fatalf("wait interval = %+v (present=%v)", w, ok)
 	}
-	tile, ok := byName["tile 7"]
-	if !ok || tile.Kind != trace.KindTile || tile.Dur != 3000 {
-		t.Fatalf("tile interval = %+v (present=%v)", tile, ok)
+	w2, ok := byName["wait peer=4 tag=9"]
+	if !ok || w2.Kind != trace.KindWait || w2.Dur != 3000 {
+		t.Fatalf("second wait interval = %+v (present=%v)", w2, ok)
 	}
 	found := false
 	for name := range byName {
-		if strings.Contains(name, "tile 8") && strings.Contains(name, "unfinished") {
+		if strings.Contains(name, "wait peer=5") && strings.Contains(name, "unfinished") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("unfinished tile 8 not exported; names = %v", names(evs))
+		t.Fatalf("unfinished wait on peer 5 not exported; names = %v", names(evs))
 	}
 	if _, ok := byName["send->1 tag=17 seq=4"]; !ok {
 		t.Fatalf("send marker missing; names = %v", names(evs))

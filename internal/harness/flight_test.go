@@ -126,32 +126,58 @@ func TestFlightRecorderPreservesChecksums(t *testing.T) {
 	}
 }
 
-// TestFlightPartitionedRecordsCausalEvents: a partitioned overlapped run
-// records the full per-tile causal vocabulary — tile start/done pairs,
-// Pready, Parrived — in every rank's ring.
-func TestFlightPartitionedRecordsCausalEvents(t *testing.T) {
-	rec := flight.New(8, 4096)
+// TestFlightPersistentRecordsCausalEvents: an overlapped persistent run
+// records the causal vocabulary — step marks, the exchange/interior/surface
+// phases, send and receive posts, deliveries, waits — in every rank's ring,
+// and every delivery links to the send-post its sender stamped: same
+// (peer, tag) stream and sequence number.
+func TestFlightPersistentRecordsCausalEvents(t *testing.T) {
+	rec := flight.New(8, 1<<14)
 	cfg := baseConfig(Layout)
-	cfg.Partitioned = true
 	cfg.FlightRec = rec
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
+	type post struct {
+		from, to, tag int32
+		seq           uint64
+	}
+	sent := map[post]bool{}
 	for r := 0; r < 8; r++ {
 		counts := map[flight.Kind]int{}
+		phases := map[int32]int{}
 		for _, e := range rec.Rank(r).Events() {
 			counts[e.Kind]++
+			switch e.Kind {
+			case flight.KindPhase:
+				phases[e.Part]++
+			case flight.KindSendPost:
+				sent[post{int32(r), e.Peer, e.Tag, e.Seq}] = true
+			}
 		}
 		for _, k := range []flight.Kind{flight.KindStep, flight.KindPhase,
-			flight.KindTileStart, flight.KindTileDone, flight.KindPready,
-			flight.KindParrived, flight.KindSendPost, flight.KindRecvPost} {
+			flight.KindSendPost, flight.KindRecvPost, flight.KindDeliver,
+			flight.KindWaitStart, flight.KindWaitDone} {
 			if counts[k] == 0 {
 				t.Errorf("rank %d ring has no %v events (got %v)", r, k, counts)
 			}
 		}
-		if counts[flight.KindTileStart] != counts[flight.KindTileDone] {
-			t.Errorf("rank %d: %d tile-starts vs %d tile-dones",
-				r, counts[flight.KindTileStart], counts[flight.KindTileDone])
+		steps := counts[flight.KindStep]
+		for _, ph := range []int32{flight.PhaseExchange, flight.PhaseInterior, flight.PhaseSurface} {
+			if phases[ph] != steps {
+				t.Errorf("rank %d: %d marks of phase %d over %d steps", r, phases[ph], ph, steps)
+			}
+		}
+		if counts[flight.KindDeliver] != counts[flight.KindSendPost] {
+			t.Errorf("rank %d: %d deliveries vs %d send-posts in a symmetric exchange",
+				r, counts[flight.KindDeliver], counts[flight.KindSendPost])
+		}
+	}
+	for r := 0; r < 8; r++ {
+		for _, e := range rec.Rank(r).Events() {
+			if e.Kind == flight.KindDeliver && !sent[post{e.Peer, int32(r), e.Tag, e.Seq}] {
+				t.Fatalf("rank %d delivery %+v links to no send-post of rank %d", r, e, e.Peer)
+			}
 		}
 	}
 }

@@ -150,17 +150,6 @@ type Config struct {
 	// (the -persistent=false escape hatch). The zero value — persistent
 	// plans on — is the default for every CPU implementation.
 	DisablePersistent bool
-	// Partitioned compiles each persistent send as an MPI 4.x-style
-	// partitioned request whose partitions align with the worker pool's
-	// surface tiles: the pipelined step arms the next exchange's sends
-	// before the surface pass and each completed tile fires Pready for the
-	// spans it produced, so the wire leg starts while sibling tiles still
-	// compute. Results are Float64bits-identical to the unpartitioned
-	// exchange. Applies to the overlapped brick implementations (Basic,
-	// Layout, MemMap with a per-step exchange); other implementations
-	// ignore it. Requires persistent plans (rejected when
-	// DisablePersistent is also set). Default off.
-	Partitioned bool
 	// Fault is a fault-injection spec (see fault.Parse: delay, stall, panic,
 	// mapfail, allocfail clauses), seeded by FaultSeed. Empty (the default)
 	// disables injection entirely; the hooks then cost one nil check.
@@ -209,7 +198,7 @@ type Config struct {
 	VerifyCRC bool
 
 	// Flight enables the always-on flight recorder: every rank records
-	// post/deliver/wait/Pready/Parrived/tile/step events into a fixed-depth
+	// post/deliver/wait/step/phase events into a fixed-depth
 	// ring (internal/flight), the watchdog embeds the stalling rank's tail
 	// into its StallReport, and a failed run — stall, abort, or exhausted
 	// recovery budget — snapshots every ring into a brick-flight/v1
@@ -275,6 +264,11 @@ type Result struct {
 	Call stats.Summary // posting sends/receives
 	Wait stats.Summary // completion waits
 	Comm stats.Summary // Pack+Call+Wait per timestep
+
+	// Barrier is the time the step loop spends in its own comm.Barrier
+	// calls (one or two per step). It is measured but kept out of Comm,
+	// StepSeconds and GStencils, which are unchanged by it.
+	Barrier stats.Summary
 
 	// Network is the deterministic modeled network time per timestep
 	// (per-message α + bytes/β over the machine profile); NetworkFloor is
@@ -342,9 +336,6 @@ func (c Config) Validate() error {
 	}
 	if c.Ghost%c.Stencil.Radius != 0 && c.ExpandGhost {
 		return fmt.Errorf("harness: ghost %d not a multiple of radius %d", c.Ghost, c.Stencil.Radius)
-	}
-	if c.Partitioned && c.DisablePersistent {
-		return fmt.Errorf("harness: -partitioned requires persistent plans (drop -persistent=false)")
 	}
 	if c.supervised() {
 		// Worker ranks are separate processes: hooks that hand the caller a
@@ -440,8 +431,6 @@ func describeMetrics(reg *metrics.Registry) {
 	reg.Describe(metrics.PlanStartsTotal, "Times a compiled exchange plan was started.")
 	reg.Describe(metrics.PlanStartBytesTotal, "Payload bytes posted by plan starts.")
 	reg.Describe(metrics.ExchangeDegradedTotal, "Exchangers that fell back to copy-based windows (labels: impl, rank, reason).")
-	reg.Describe(metrics.ExchangePartitionsReadyTotal, "Send partitions marked ready (Pready fired by a completed surface tile).")
-	reg.Describe(metrics.PartitionReadyLagSeconds, "Delay from arming a partitioned send to each partition's Pready.")
 	reg.Describe(metrics.CkptBytesTotal, "Checkpoint snapshot payload bytes deposited (labels: impl, rank).")
 	reg.Describe(metrics.CkptEpochsTotal, "Committed world-wide checkpoint epochs (labels: impl).")
 	reg.Describe(metrics.RecoveryTotal, "Recovery verdicts (labels: rank, outcome=recovered|budget-exhausted).")
@@ -560,7 +549,6 @@ func flightDump(cfg Config, ae *mpi.AbortError, reason string) {
 		for _, op := range rep.Pending {
 			pending = append(pending, flight.PendingRef{
 				Kind: op.Kind, Src: op.Src, Dst: op.Dst, Tag: op.Tag,
-				Partitions: op.Partitions, Unready: op.Unready,
 			})
 		}
 	} else if reason == "" {
@@ -661,6 +649,7 @@ func aggregate(cfg Config, perRank []Result) Result {
 		out.Call.Merge(r.Call)
 		out.Wait.Merge(r.Wait)
 		out.Comm.Merge(r.Comm)
+		out.Barrier.Merge(r.Barrier)
 		out.Network.Merge(r.Network)
 		out.CommSynth.Merge(r.CommSynth)
 	}

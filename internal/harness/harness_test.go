@@ -219,6 +219,26 @@ func TestPackFreeImplsReportZeroPack(t *testing.T) {
 	}
 }
 
+// TestBarrierTimeReported: the step loops' own barriers are timed into
+// Result.Barrier — one sample per timed step on every rank.
+func TestBarrierTimeReported(t *testing.T) {
+	for _, im := range []Impl{YASK, Layout, MemMap, Shift} {
+		cfg := baseConfig(im)
+		cfg.Procs = [3]int{2, 1, 1}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", im, err)
+		}
+		if res.Barrier.Mean() <= 0 {
+			t.Errorf("%v: barrier mean %v on 2 ranks, want > 0", im, res.Barrier.Mean())
+		}
+		if res.Barrier.N() != res.Calc.N() {
+			t.Errorf("%v: %d barrier samples vs %d calc samples, want one per timed step per rank",
+				im, res.Barrier.N(), res.Calc.N())
+		}
+	}
+}
+
 func TestGPUResultsModeled(t *testing.T) {
 	res, err := Run(baseConfig(GPUMemMapUM))
 	if err != nil {

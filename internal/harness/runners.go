@@ -10,7 +10,6 @@ import (
 	"github.com/bricklab/brick/internal/gpu"
 	"github.com/bricklab/brick/internal/grid"
 	"github.com/bricklab/brick/internal/layout"
-	"github.com/bricklab/brick/internal/metrics"
 	"github.com/bricklab/brick/internal/mpi"
 	"github.com/bricklab/brick/internal/netmodel"
 	"github.com/bricklab/brick/internal/stencil"
@@ -23,6 +22,15 @@ func rankOrigin(cfg Config, cart *mpi.Cart) [3]int {
 }
 
 func tmpGrid(cfg Config) *grid.Grid { return grid.New(cfg.Dom, cfg.Ghost) }
+
+// timedBarrier runs one step-loop barrier and returns how long it blocked.
+// The step loops report the total as Result.Barrier, kept out of the
+// calc/pack/call/wait phases and the throughput figures.
+func timedBarrier(comm *mpi.Comm) time.Duration {
+	t0 := time.Now()
+	comm.Barrier()
+	return time.Since(t0)
+}
 
 // runBrickRank executes the Basic/Layout/MemMap implementations.
 func runBrickRank(cfg Config, cart *mpi.Cart) (Result, error) {
@@ -82,54 +90,27 @@ func runBrickRank(cfg Config, cart *mpi.Cart) (Result, error) {
 			surfSpans = append(surfSpans, [2]int{sp.Start, sp.End()})
 		}
 	}
-	// Partitioned sends pipeline the surface pass into the wire: applicable
-	// whenever the step overlaps a per-step exchange (every brick impl but
-	// Shift, whose slab phases are serialized). The tile list fixed here is
-	// both the partition alignment of the compiled plan and the surface
-	// pass's execution tiling.
-	usePart := cfg.Partitioned && !cfg.DisablePersistent &&
-		cfg.exchangePeriod() == 1 && cfg.Impl != Shift
-	var tiles [][2]int
-	popts := []core.PlanOption{core.WithPersistentPlan(!cfg.DisablePersistent)}
-	if usePart {
-		tiles = stencil.TileSpans(surfSpans, wk)
-		if len(tiles) > 0 {
-			popts = append(popts, core.WithPartitions(tiles))
-		} else {
-			usePart = false // no surface to exchange (single-rank world)
-		}
-	}
+	popt := core.WithPersistentPlan(!cfg.DisablePersistent)
 	var ex core.Exchanger
 	// degradable is set for MemMap, the one implementation whose mapped
 	// views can be rebuilt as copy windows mid-run (mapfail:step=S faults).
 	var degradable *core.ExchangeView
 	switch cfg.Impl {
 	case MemMap:
-		ev, err := core.NewExchangeView(bx, bs, popts...)
+		ev, err := core.NewExchangeView(bx, bs, popt)
 		if err != nil {
 			return res, err
 		}
 		ex = ev
 		degradable = ev
 	case Shift:
-		sv, err := core.NewShiftView(bx, bs, popts...)
+		sv, err := core.NewShiftView(bx, bs, popt)
 		if err != nil {
 			return res, err
 		}
 		ex = sv
 	default:
-		ex = core.NewLayoutExchange(bx, bs, popts...)
-	}
-	var part core.PartitionedExchanger
-	if usePart {
-		part, _ = ex.(core.PartitionedExchanger)
-		if part == nil {
-			usePart = false
-		} else if cfg.Metrics != nil {
-			if pm, ok := ex.(interface{ SetPartitionMetrics(*metrics.Registry) }); ok {
-				pm.SetPartitionMetrics(cfg.Metrics)
-			}
-		}
+		ex = core.NewLayoutExchange(bx, bs, popt)
 	}
 	// Same leak-on-abort rule: closing the exchanger unmaps its aliasing
 	// views and frees its endpoints; during an abort the safe move is to
@@ -245,71 +226,25 @@ func runBrickRank(cfg Config, cart *mpi.Cart) (Result, error) {
 	// region the exchange writes — so they keep the exchange-then-compute
 	// order.
 	overlap := period == 1 && cfg.Impl != Shift
-	var readyFn func(int) // hoisted so the step closure never allocates it
-	if usePart {
-		readyFn = part.ReadyTile
-		// Prologue: arm the first exchange's sends with the current field
-		// contents — the initial values, or the restored snapshot — fully
-		// ready. From here every step's surface pass re-arms the next
-		// exchange tile by tile.
-		part.StartSends()
-		part.ReadyAll()
-	}
 	// abs is the absolute step index (warmup included): the fault-hook and
 	// checkpoint clock. s is the phase-local index driving the exchange
 	// cadence.
 	step := func(abs, s int, timed bool) {
 		fr.StepMark(abs)
 		cfg.inj.StepPanic(rank, abs)
-		if !usePart {
-			if degradable != nil && cfg.inj.DegradeAtStep(rank, abs) {
-				// Between steps no exchange is in flight, so the mapped views
-				// can be swapped for copy windows here.
-				if derr := degradable.Degrade(core.DegradeForced); derr != nil {
-					comm.Abort(derr)
-				}
+		if degradable != nil && cfg.inj.DegradeAtStep(rank, abs) {
+			// Between steps no exchange is in flight, so the mapped views
+			// can be swapped for copy windows here.
+			if derr := degradable.Degrade(core.DegradeForced); derr != nil {
+				comm.Abort(derr)
 			}
-			comm.Barrier()
 		}
+		bar := timedBarrier(comm)
 		var calc time.Duration
 		src := core.NewBrick(info, bs, cur)
 		dst := core.NewBrick(info, bs, 1-cur)
 		exchange := s%period == 0
-		if usePart {
-			// Pipelined partitioned schedule. No per-step barrier: the
-			// persistent channels' cycle tokens bound rank skew to one
-			// exchange, and a barrier would flatten exactly the pipeline
-			// this mode exists to build. The sends for this step's exchange
-			// were armed (and progressively released) by the previous
-			// step's surface pass — only the receives are started here.
-			fr.Phase(flight.PhaseExchange)
-			part.StartRecvs()
-			fr.Phase(flight.PhaseInterior)
-			t0 := time.Now()
-			inter := dec.Interior()
-			stencil.ApplyBricksRangeWorkers(dst, src, dec, cfg.Stencil, 0, inter.Start, inter.End(), wk)
-			calc = time.Since(t0)
-			ex.Complete()
-			// Pipeline-safe point: every transfer of this step is fully
-			// delivered and nothing is armed, so the mapped views can be
-			// degraded to copy windows (Rebind on an armed partitioned
-			// request would panic).
-			if degradable != nil && cfg.inj.DegradeAtStep(rank, abs) {
-				if derr := degradable.Degrade(core.DegradeForced); derr != nil {
-					comm.Abort(derr)
-				}
-			}
-			onTile := readyFn
-			if abs == cfg.Warmup+cfg.Steps-1 {
-				onTile = nil // last step: there is no next exchange to feed
-			} else {
-				part.StartSends()
-			}
-			fr.Phase(flight.PhaseSurface)
-			t0 = time.Now()
-			stencil.ApplyBricksTilesFlight(dst, src, dec, cfg.Stencil, 0, tiles, wk, onTile, fr)
-			calc += time.Since(t0)
-		} else if overlap {
+		if overlap {
 			// Start the exchange, compute interior bricks while it is in
 			// flight, complete, then compute the surface bricks. In flight
 			// the exchange reads only surface bricks and writes only ghost
@@ -331,7 +266,7 @@ func runBrickRank(cfg Config, cart *mpi.Cart) (Result, error) {
 				ex.Start()
 				ex.Complete()
 			}
-			comm.Barrier() // isolate the exchange phase from computation
+			bar += timedBarrier(comm) // isolate the exchange phase from computation
 			t0 := time.Now()
 			stencil.ApplyBricksParallel(dst, src, dec, cfg.Stencil, marg[s%period], wk)
 			calc = time.Since(t0)
@@ -345,6 +280,7 @@ func runBrickRank(cfg Config, cart *mpi.Cart) (Result, error) {
 			res.Pack.AddDuration(tm.Pack)
 			res.Call.AddDuration(tm.Call)
 			res.Wait.AddDuration(tm.Wait)
+			res.Barrier.AddDuration(bar)
 			res.Comm.AddDuration(tm.Pack + tm.Call + tm.Wait)
 			net := 0.0
 			if exchange {
@@ -487,7 +423,7 @@ func runGridRank(cfg Config, cart *mpi.Cart) (Result, error) {
 	step := func(abs, s int, timed bool) {
 		fr.StepMark(abs)
 		cfg.inj.StepPanic(rank, abs)
-		comm.Barrier()
+		bar := timedBarrier(comm)
 		var calc time.Duration
 		exchange := s%period == 0
 		ex := exs[cur]
@@ -515,7 +451,7 @@ func runGridRank(cfg Config, cart *mpi.Cart) (Result, error) {
 				ex.Start()
 				ex.Complete()
 			}
-			comm.Barrier() // isolate the exchange phase from computation
+			bar += timedBarrier(comm) // isolate the exchange phase from computation
 			t0 := time.Now()
 			stencil.ApplyGridWorkers(gs[1-cur], gs[cur], cfg.Stencil, marg[s%period], wk)
 			calc = time.Since(t0)
@@ -528,6 +464,7 @@ func runGridRank(cfg Config, cart *mpi.Cart) (Result, error) {
 			res.Pack.AddDuration(tm.Pack)
 			res.Call.AddDuration(tm.Call)
 			res.Wait.AddDuration(tm.Wait)
+			res.Barrier.AddDuration(bar)
 			res.Comm.AddDuration(tm.Pack + tm.Call + tm.Wait)
 			net := 0.0
 			if exchange {
@@ -627,7 +564,7 @@ func runGPURank(cfg Config, cart *mpi.Cart) (Result, error) {
 	step := func(abs, s int, timed bool) {
 		fr.StepMark(abs)
 		cfg.inj.StepPanic(comm.Rank(), abs)
-		comm.Barrier()
+		bar := timedBarrier(comm)
 		var cc gpu.CommCost
 		if s%period == 0 {
 			cc = sim.Exchange()
@@ -636,6 +573,7 @@ func runGPURank(cfg Config, cart *mpi.Cart) (Result, error) {
 		if timed {
 			po.observeStep(calc, cc.Fault+cc.Engine, 0, cc.Link)
 			res.Calc.AddDuration(calc)
+			res.Barrier.AddDuration(bar)
 			res.Pack.AddDuration(cc.Fault + cc.Engine)
 			res.Call.Add(0)
 			res.Wait.AddDuration(cc.Link)

@@ -39,7 +39,6 @@ type wireConfig struct {
 	ExpandGhost       bool             `json:"expand_ghost"`
 	Workers           int              `json:"workers"`
 	DisablePersistent bool             `json:"disable_persistent"`
-	Partitioned       bool             `json:"partitioned"`
 	Fault             string           `json:"fault"`
 	FaultSeed         int64            `json:"fault_seed"`
 	Watchdog          time.Duration    `json:"watchdog"`
@@ -57,8 +56,7 @@ func wireFrom(c Config) wireConfig {
 		Impl: c.Impl, Transport: c.transportName(), Procs: c.Procs, Dom: c.Dom,
 		Ghost: c.Ghost, Shape: c.Shape, Stencil: c.Stencil, Steps: c.Steps,
 		Warmup: c.Warmup, Machine: c.Machine, PageBytes: c.PageBytes,
-		ExpandGhost: c.ExpandGhost, Workers: c.Workers,
-		DisablePersistent: c.DisablePersistent, Partitioned: c.Partitioned,
+		ExpandGhost: c.ExpandGhost, Workers: c.Workers, DisablePersistent: c.DisablePersistent,
 		Fault: c.Fault, FaultSeed: c.FaultSeed, Watchdog: c.Watchdog,
 		VerifyCRC: c.VerifyCRC, Checkpoint: c.Checkpoint,
 		CheckpointEvery: c.CheckpointEvery, CheckpointDir: c.CheckpointDir,
@@ -71,8 +69,7 @@ func (w wireConfig) config() Config {
 		Impl: w.Impl, Transport: w.Transport, Procs: w.Procs, Dom: w.Dom,
 		Ghost: w.Ghost, Shape: w.Shape, Stencil: w.Stencil, Steps: w.Steps,
 		Warmup: w.Warmup, Machine: w.Machine, PageBytes: w.PageBytes,
-		ExpandGhost: w.ExpandGhost, Workers: w.Workers,
-		DisablePersistent: w.DisablePersistent, Partitioned: w.Partitioned,
+		ExpandGhost: w.ExpandGhost, Workers: w.Workers, DisablePersistent: w.DisablePersistent,
 		Fault: w.Fault, FaultSeed: w.FaultSeed, Watchdog: w.Watchdog,
 		VerifyCRC: w.VerifyCRC, Checkpoint: w.Checkpoint,
 		CheckpointEvery: w.CheckpointEvery, CheckpointDir: w.CheckpointDir,

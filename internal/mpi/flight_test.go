@@ -70,16 +70,15 @@ func TestFlightOneShotExchange(t *testing.T) {
 	}
 }
 
-// TestFlightPartitionedConcurrent drives an 8-rank neighbour ring of
-// partitioned sends with Pready fired from concurrent worker goroutines —
-// the overlapped-surface shape — under -race, then checks every ring's
-// event accounting: one send-post per cycle with increasing seq, every
-// partition's pready on the sender and parrived on the receiver, and each
-// full cycle closing with one delivery carrying the cycle's stamp.
-func TestFlightPartitionedConcurrent(t *testing.T) {
+// TestFlightPersistentConcurrent drives an 8-rank ring of persistent
+// exchanges in both directions, each direction Started and Waited from its
+// own goroutine — the overlapped-surface shape — under -race, then checks
+// every ring's event accounting: one send-post per send cycle with the next
+// seq of its stream, and one delivery per receive cycle carrying the seq
+// its sender stamped on that cycle.
+func TestFlightPersistentConcurrent(t *testing.T) {
 	const (
 		ranks  = 8
-		parts  = 4
 		cycles = 3
 		n      = 16
 	)
@@ -87,63 +86,52 @@ func TestFlightPartitionedConcurrent(t *testing.T) {
 	rec := flight.New(ranks, 512)
 	w.SetFlight(rec)
 	w.Run(func(c *Comm) {
-		dst := (c.Rank() + 1) % ranks
-		src := (c.Rank() + ranks - 1) % ranks
-		sbuf := make([]float64, n)
-		rbuf := make([]float64, n)
-		send := c.PsendInit(dst, 41, sbuf, []int{0, 4, 8, 12, n})
-		recv := c.PrecvInit(src, 41, rbuf)
+		right := (c.Rank() + 1) % ranks
+		left := (c.Rank() + ranks - 1) % ranks
+		var pairs [2][2]*Request // [direction]{send, recv}
+		for d, peers := range [2][2]int{{right, left}, {left, right}} {
+			pairs[d][0] = c.SendInit(peers[0], 41+d, make([]float64, n))
+			pairs[d][1] = c.RecvInit(peers[1], 41+d, make([]float64, n))
+		}
 		for cy := 0; cy < cycles; cy++ {
-			recv.Start()
-			send.Start()
 			var wg sync.WaitGroup
-			for p := 0; p < parts; p++ {
+			for d := range pairs {
 				wg.Add(1)
-				go func(p int) {
+				go func(reqs []*Request) {
 					defer wg.Done()
-					send.Pready(p)
-				}(p)
+					Startall(reqs)
+					Waitall(reqs)
+				}(pairs[d][:])
 			}
 			wg.Wait()
-			send.Wait()
-			recv.Wait()
 			c.Barrier()
 		}
 	})
+	// Sequence stamps count per (peer, tag) stream: each of a rank's two
+	// send streams and two receive streams must read 1..cycles in order,
+	// and a delivery must come from the neighbour sending on its tag.
+	type stream struct{ peer, tag int32 }
+	checkStreams := func(r int, kind flight.Kind, from map[int32]int32) {
+		evs := ringEvents(rec.Rank(r), kind)
+		if len(evs) != 2*cycles {
+			t.Fatalf("rank %d: %d %v events, want %d", r, len(evs), kind, 2*cycles)
+		}
+		next := map[stream]uint64{}
+		for i, e := range evs {
+			if from[e.Tag] != e.Peer {
+				t.Fatalf("rank %d %v event %d = %+v, want peer %d on tag %d", r, kind, i, e, from[e.Tag], e.Tag)
+			}
+			k := stream{e.Peer, e.Tag}
+			next[k]++
+			if e.Seq != next[k] {
+				t.Fatalf("rank %d %v event %d seq = %d, want %d", r, kind, i, e.Seq, next[k])
+			}
+		}
+	}
 	for r := 0; r < ranks; r++ {
-		g := rec.Rank(r)
-		sends := ringEvents(g, flight.KindSendPost)
-		if len(sends) != cycles {
-			t.Fatalf("rank %d: %d send-posts, want %d", r, len(sends), cycles)
-		}
-		for i, e := range sends {
-			if e.Seq != uint64(i+1) {
-				t.Fatalf("rank %d send-post %d seq = %d, want %d", r, i, e.Seq, i+1)
-			}
-		}
-		if got := len(ringEvents(g, flight.KindPready)); got != cycles*parts {
-			t.Fatalf("rank %d: %d pready events, want %d", r, got, cycles*parts)
-		}
-		if got := len(ringEvents(g, flight.KindParrived)); got != cycles*parts {
-			t.Fatalf("rank %d: %d parrived events, want %d", r, got, cycles*parts)
-		}
-		delivers := ringEvents(g, flight.KindDeliver)
-		if len(delivers) != cycles {
-			t.Fatalf("rank %d: %d cycle deliveries, want %d", r, len(delivers), cycles)
-		}
-		for i, e := range delivers {
-			if e.Seq != uint64(i+1) || int(e.Peer) != (r+ranks-1)%ranks {
-				t.Fatalf("rank %d delivery %d = %+v, want seq=%d from rank %d",
-					r, i, e, i+1, (r+ranks-1)%ranks)
-			}
-		}
-		// Each parrived must carry the seq of its cycle's send (stamped by
-		// the sender when the cycle started).
-		for _, e := range ringEvents(g, flight.KindParrived) {
-			if e.Seq < 1 || e.Seq > cycles {
-				t.Fatalf("rank %d parrived seq = %d out of cycle range", r, e.Seq)
-			}
-		}
+		right, left := int32((r+1)%ranks), int32((r+ranks-1)%ranks)
+		checkStreams(r, flight.KindSendPost, map[int32]int32{41: right, 42: left})
+		checkStreams(r, flight.KindDeliver, map[int32]int32{41: left, 42: right})
 	}
 }
 

@@ -73,7 +73,7 @@ type World struct {
 func (w *World) SetTrace(rec *trace.Recorder) { w.rec = rec }
 
 // SetFlight attaches a flight recorder sized for this world; every rank
-// records post/deliver/wait/Pready/Parrived/abort events into its ring,
+// records post/deliver/wait/abort events into its ring,
 // and the watchdog embeds the stalling rank's tail into StallReports.
 // Call before Run. A nil recorder disables recording (the default) at the
 // cost of one nil check per operation.
@@ -104,7 +104,7 @@ func (w *World) SetMetrics(reg *metrics.Registry) {
 	reg.Describe(metrics.MPIWaitSeconds, "Time blocked in Request.Wait (seconds).")
 	reg.Describe(metrics.TransportReconnectsTotal, "Connection (re-)establishments per rank/peer pair on connection-oriented transports.")
 	reg.Describe(metrics.TransportHeartbeatMissesTotal, "Heartbeat intervals missed per rank/peer pair before a peer was declared dead.")
-	reg.Describe(metrics.TransportFramesTotal, "Transport frames by kind (data, pdata, ppart, hb, stale-drop, dup-drop, net-drop, net-dup).")
+	reg.Describe(metrics.TransportFramesTotal, "Transport frames by kind (data, pdata, hb, stale-drop, dup-drop, net-drop, net-dup).")
 }
 
 // commMetrics caches one rank's histogram series so the per-message hot

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/bricklab/brick/internal/fault"
-	"github.com/bricklab/brick/internal/flight"
 	"github.com/bricklab/brick/internal/trace"
 )
 
@@ -30,7 +29,7 @@ import (
 // invisible to Irecv and vice versa, even with equal tags.
 //
 // This file holds the transport-agnostic entry points (Comm.SendInit,
-// Request.Start/Pready/...) and the chan backend's pre-paired channel
+// Request.Start/Wait/Rebind/Free) and the chan backend's pre-paired channel
 // implementation (pchan), which is the protocol op behind every persistent
 // request on that backend.
 
@@ -67,19 +66,6 @@ type pchan struct {
 	recvFreed  bool             // recv side called Free
 	flips      []fault.ByteFlip // injected corruption for the current cycle
 	seq        uint64           // sender's flight sequence stamp for the current cycle
-
-	// Partitioned state (MPI 4.x Psend_init/Pready/Parrived), nil/zero on
-	// unpartitioned channels. bounds holds the P+1 element offsets of the P
-	// send partitions (bounds[0] == 0, bounds[P] == len(sendBuf)); ready[i]
-	// is set by the sender's Pready, arrived[i] when partition i's payload
-	// has been copied into the receive buffer. A partitioned cycle completes
-	// — tokens released, fired flags cleared — only when every partition has
-	// been delivered.
-	bounds   []int
-	ready    []bool
-	arrived  []bool
-	nready   int
-	narrived int
 }
 
 func newPchan(key endpointKey, reg *persistReg) *pchan {
@@ -219,55 +205,12 @@ func (t *chanTransport) recvInit(c *Comm, src, tag int, buf []float64) *Request 
 	return &Request{comm: c, op: pc, persistent: true, psend: false, peer: src, tag: tag}
 }
 
-// PsendInit creates a partitioned persistent send endpoint (the
-// MPI_Psend_init pattern): buf is divided into len(bounds)-1 contiguous
-// partitions at the given element offsets (bounds[0] must be 0, the offsets
-// strictly increasing, and the last offset len(buf)). Matching follows the
-// SendInit rules — the peer registers with RecvInit or PrecvInit — but the
-// per-cycle protocol changes: Start activates the request WITHOUT making
-// any data visible; each partition's payload moves only after the sender
-// declares it ready with Pready, so the wire leg of a message can begin
-// while the data of sibling partitions is still being computed. Both sides'
-// Wait complete only once every partition has been delivered.
-func (c *Comm) PsendInit(dst, tag int, buf []float64, bounds []int) *Request {
-	if len(bounds) < 2 {
-		panic("mpi: PsendInit needs at least one partition (len(bounds) >= 2)")
-	}
-	if bounds[0] != 0 || bounds[len(bounds)-1] != len(buf) {
-		panic(fmt.Sprintf("mpi: PsendInit bounds must span the buffer exactly (got [%d..%d] over %d elements)",
-			bounds[0], bounds[len(bounds)-1], len(buf)))
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("mpi: PsendInit bounds must be strictly increasing (bounds[%d]=%d, bounds[%d]=%d)",
-				i-1, bounds[i-1], i, bounds[i]))
-		}
-	}
-	r := c.SendInit(dst, tag, buf)
-	r.op.(persOp).partition(r, bounds)
-	return r
-}
-
-// PrecvInit creates the partition-aware persistent receive endpoint paired
-// with a PsendInit. The receive side adopts the sender's partitioning
-// (matched once, at plan time): Parrived reports per-partition arrival as
-// the sender's Pready calls land, and Wait blocks until every partition has
-// been delivered. It is otherwise identical to RecvInit — a plain RecvInit
-// paired with a PsendInit behaves the same, this name documents the intent.
-func (c *Comm) PrecvInit(src, tag int, buf []float64) *Request {
-	return c.RecvInit(src, tag, buf)
-}
-
 // checkSizesLocked validates buffer compatibility as soon as both sides are
 // known — plan-build time, not first-transfer time.
 func (pc *pchan) checkSizesLocked() {
 	if pc.sendBuf != nil && pc.recvBuf != nil && len(pc.sendBuf) > len(pc.recvBuf) {
 		panic(fmt.Sprintf("mpi: persistent message (src %d dst %d tag %d) of %d elements overflows receive buffer of %d",
 			pc.key.src, pc.key.dst, pc.key.tag, len(pc.sendBuf), len(pc.recvBuf)))
-	}
-	if n := len(pc.bounds); n > 0 && pc.sendBuf != nil && pc.bounds[n-1] != len(pc.sendBuf) {
-		panic(fmt.Sprintf("mpi: partitioned send (src %d dst %d tag %d) bounds cover %d elements but the buffer holds %d",
-			pc.key.src, pc.key.dst, pc.key.tag, pc.bounds[n-1], len(pc.sendBuf)))
 	}
 }
 
@@ -286,15 +229,6 @@ func (pc *pchan) deliverLocked() error {
 			pc.key.src, pc.key.dst, pc.key.tag))
 	}
 	copy(pc.recvBuf, pc.sendBuf)
-	return pc.completeCycleLocked()
-}
-
-// completeCycleLocked finishes one transfer cycle once the receive buffer
-// holds the full payload: apply injected corruption, verify CRCs, account
-// send latency, clear the cycle's fired flags, and release one completion
-// token per side. Shared by the unpartitioned delivery and the partitioned
-// path (which reaches here only after the last partition arrived).
-func (pc *pchan) completeCycleLocked() error {
 	if pc.flips != nil {
 		applyFlips(pc.recvBuf[:len(pc.sendBuf)], pc.flips)
 		pc.flips = nil
@@ -311,38 +245,6 @@ func (pc *pchan) completeCycleLocked() error {
 	pc.sendDone <- struct{}{}
 	pc.recvDone <- struct{}{}
 	return err
-}
-
-// deliverPartLocked copies one ready partition into the receive buffer and,
-// when it was the last outstanding one, completes the cycle. Requires both
-// sides fired, partition i ready and not yet arrived; pc.mu held.
-func (pc *pchan) deliverPartLocked(i int) error {
-	if pc.sendBuf == nil || pc.recvBuf == nil {
-		panic(fmt.Sprintf("mpi: partitioned channel (src %d dst %d tag %d) started before both endpoints initialized",
-			pc.key.src, pc.key.dst, pc.key.tag))
-	}
-	lo, hi := pc.bounds[i], pc.bounds[i+1]
-	copy(pc.recvBuf[lo:hi], pc.sendBuf[lo:hi])
-	pc.recvComm.fl.Record(flight.KindParrived, int32(pc.key.src), int32(pc.key.tag), int32(i), int64(8*(hi-lo)), pc.seq)
-	pc.arrived[i] = true
-	pc.narrived++
-	if pc.narrived == len(pc.arrived) {
-		return pc.completeCycleLocked()
-	}
-	return nil
-}
-
-// deliverReadyLocked delivers every partition the sender has already marked
-// ready (the receive side just started this cycle); pc.mu held.
-func (pc *pchan) deliverReadyLocked() error {
-	for i := range pc.ready {
-		if pc.ready[i] && !pc.arrived[i] {
-			if err := pc.deliverPartLocked(i); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Start activates a persistent request for one transfer. The request must
@@ -384,59 +286,6 @@ func (r *Request) Start() {
 	}
 	c.fl.RecvPost(int32(r.peer), int32(r.tag), int64(8*n))
 	op.start(r, 0, nil)
-}
-
-// Pready declares partition i of an active partitioned send ready for
-// transfer (MPI_Pready): its payload may move to the receiver immediately —
-// while sibling partitions are still being computed — and the sender must
-// not touch the partition's span again until Wait returns. Panics on a
-// non-partitioned request, before Start, or if the partition was already
-// marked ready this cycle. Safe to call concurrently from different
-// goroutines (worker tiles) on different partitions.
-func (r *Request) Pready(i int) { r.PreadyRange(i, i+1) }
-
-// PreadyRange marks partitions [lo, hi) ready (MPI_Pready_range).
-func (r *Request) PreadyRange(lo, hi int) {
-	op, ok := r.op.(persOp)
-	if !ok || !r.psend {
-		panic("mpi: Pready on a non-persistent or receive request")
-	}
-	op.preadyRange(r, lo, hi)
-}
-
-// PreadyAll marks every partition of the active cycle ready at once — the
-// prologue form for data that is already fully computed.
-func (r *Request) PreadyAll() {
-	if op, ok := r.op.(persOp); ok && r.psend {
-		if p := op.partitions(r); p > 0 {
-			r.PreadyRange(0, p)
-			return
-		}
-	}
-	panic("mpi: PreadyAll on a non-partitioned request")
-}
-
-// Parrived reports whether partition i of the current receive cycle has
-// been delivered (MPI_Parrived). It is a non-blocking poll: callers may
-// consume the partition's span of the receive buffer as soon as it returns
-// true, but the request still requires Wait to finish the cycle. Panics on
-// a send request or when no partitioned sender has matched.
-func (r *Request) Parrived(i int) bool {
-	op, ok := r.op.(persOp)
-	if !ok || r.psend {
-		panic("mpi: Parrived on a non-persistent or send request")
-	}
-	return op.parrived(r, i)
-}
-
-// Partitions returns the partition count of the matched channel (0 for an
-// unpartitioned persistent request).
-func (r *Request) Partitions() int {
-	op, ok := r.op.(persOp)
-	if !ok {
-		return 0
-	}
-	return op.partitions(r)
 }
 
 // Startall starts every request in the slice (MPI_Startall). Nil entries
@@ -499,15 +348,6 @@ func (pc *pchan) elems(r *Request) int {
 	return len(pc.recvBuf)
 }
 
-func (pc *pchan) partition(r *Request, bounds []int) {
-	p := len(bounds) - 1
-	pc.mu.Lock()
-	pc.bounds = append([]int(nil), bounds...)
-	pc.ready = make([]bool, p)
-	pc.arrived = make([]bool, p)
-	pc.mu.Unlock()
-}
-
 func (pc *pchan) start(r *Request, seq uint64, flips []fault.ByteFlip) {
 	c := r.comm
 	if r.psend {
@@ -523,14 +363,7 @@ func (pc *pchan) start(r *Request, seq uint64, flips []fault.ByteFlip) {
 			pc.sendStart = time.Now()
 		}
 		var err error
-		if pc.bounds != nil {
-			// Partitioned: activation makes nothing visible — each partition
-			// moves only after its Pready. Reset this cycle's readiness.
-			for i := range pc.ready {
-				pc.ready[i] = false
-			}
-			pc.nready = 0
-		} else if pc.recvFired {
+		if pc.recvFired {
 			err = pc.deliverLocked()
 		}
 		pc.mu.Unlock()
@@ -547,17 +380,7 @@ func (pc *pchan) start(r *Request, seq uint64, flips []fault.ByteFlip) {
 	}
 	pc.recvActive, pc.recvFired = true, true
 	var err error
-	if pc.bounds != nil {
-		// Partitioned: reset arrival state for this cycle, then drain any
-		// partitions the sender already marked ready.
-		for i := range pc.arrived {
-			pc.arrived[i] = false
-		}
-		pc.narrived = 0
-		if pc.sendFired {
-			err = pc.deliverReadyLocked()
-		}
-	} else if pc.sendFired {
+	if pc.sendFired {
 		err = pc.deliverLocked()
 	}
 	pc.mu.Unlock()
@@ -565,68 +388,6 @@ func (pc *pchan) start(r *Request, seq uint64, flips []fault.ByteFlip) {
 		c.world.abort(c.rank, err)
 		panic(c.world.Aborted())
 	}
-}
-
-func (pc *pchan) preadyRange(r *Request, lo, hi int) {
-	c := r.comm
-	pc.mu.Lock()
-	if pc.bounds == nil {
-		pc.mu.Unlock()
-		panic("mpi: Pready on an unpartitioned persistent send")
-	}
-	if !pc.sendActive {
-		pc.mu.Unlock()
-		panic("mpi: Pready before Start")
-	}
-	if lo < 0 || hi > len(pc.ready) || lo >= hi {
-		pc.mu.Unlock()
-		panic(fmt.Sprintf("mpi: Pready range [%d,%d) out of bounds for %d partitions", lo, hi, len(pc.ready)))
-	}
-	var err error
-	for i := lo; i < hi; i++ {
-		if pc.ready[i] {
-			pc.mu.Unlock()
-			panic(fmt.Sprintf("mpi: partition %d marked ready twice in one cycle", i))
-		}
-		pc.ready[i] = true
-		pc.nready++
-		c.fl.Record(flight.KindPready, int32(pc.key.dst), int32(pc.key.tag), int32(i),
-			int64(8*(pc.bounds[i+1]-pc.bounds[i])), pc.seq)
-		if pc.recvFired && !pc.arrived[i] {
-			if err = pc.deliverPartLocked(i); err != nil {
-				break
-			}
-		}
-	}
-	pc.mu.Unlock()
-	// Partitions advancing is progress: without this tick a long compute
-	// phase with an armed pipeline would read as a stall to the watchdog.
-	c.world.progressTick()
-	if err != nil {
-		c.world.abort(c.rank, err)
-		panic(c.world.Aborted())
-	}
-}
-
-func (pc *pchan) parrived(r *Request, i int) bool {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if pc.bounds == nil {
-		panic("mpi: Parrived with no partitioned sender matched")
-	}
-	if i < 0 || i >= len(pc.arrived) {
-		panic(fmt.Sprintf("mpi: Parrived partition %d out of range (%d partitions)", i, len(pc.arrived)))
-	}
-	return pc.arrived[i]
-}
-
-func (pc *pchan) partitions(*Request) int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if pc.bounds == nil {
-		return 0
-	}
-	return len(pc.bounds) - 1
 }
 
 // token returns the given side's completion-token channel.

@@ -25,19 +25,18 @@ import (
 // incarnation stamp on every frame lets a respawned rank's traffic be told
 // apart from its dead predecessor's.
 
-// Fixed binary header of tfData/tfPData/tfPPart payloads, little-endian.
+// Fixed binary header of tfData/tfPData payloads, little-endian.
 // After the header come elems float64 payload words (Float64bits) and
 // nflips injected byte-flips (u32 offset, u8 mask, 3 pad). wireSeq is
 // patched in at write time under the connection lock.
 const (
-	tcpHdrLen     = 80
+	tcpHdrLen     = 64
 	tcpOffWireSeq = 32
 )
 
 type tcpHdr struct {
 	src, dst, tag, slot            int
 	epoch, inc, wireSeq, fseq, cyc uint64
-	offE, partLo, partHi, nparts   int
 	elems, nflips                  int
 }
 
@@ -53,12 +52,8 @@ func encodeDataFrame(h *tcpHdr, data []float64, flips []fault.ByteFlip) []byte {
 	le.PutUint64(b[32:], h.wireSeq)
 	le.PutUint64(b[40:], h.fseq)
 	le.PutUint64(b[48:], h.cyc)
-	le.PutUint32(b[56:], uint32(h.offE))
-	le.PutUint32(b[60:], uint32(h.partLo))
-	le.PutUint32(b[64:], uint32(h.partHi))
-	le.PutUint32(b[68:], uint32(h.nparts))
-	le.PutUint32(b[72:], uint32(len(data)))
-	le.PutUint32(b[76:], uint32(len(flips)))
+	le.PutUint32(b[56:], uint32(len(data)))
+	le.PutUint32(b[60:], uint32(len(flips)))
 	off := tcpHdrLen
 	for _, v := range data {
 		le.PutUint64(b[off:], math.Float64bits(v))
@@ -82,9 +77,7 @@ func decodeDataFrame(b []byte) (*tcpHdr, []float64, []fault.ByteFlip, error) {
 		tag: int(int32(le.Uint32(b[8:]))), slot: int(int32(le.Uint32(b[12:]))),
 		epoch: le.Uint64(b[16:]), inc: le.Uint64(b[24:]),
 		wireSeq: le.Uint64(b[32:]), fseq: le.Uint64(b[40:]), cyc: le.Uint64(b[48:]),
-		offE: int(int32(le.Uint32(b[56:]))), partLo: int(int32(le.Uint32(b[60:]))),
-		partHi: int(int32(le.Uint32(b[64:]))), nparts: int(int32(le.Uint32(b[68:]))),
-		elems: int(le.Uint32(b[72:])), nflips: int(le.Uint32(b[76:])),
+		elems: int(le.Uint32(b[56:])), nflips: int(le.Uint32(b[60:])),
 	}
 	want := tcpHdrLen + 8*h.elems + 8*h.nflips
 	if len(b) != want {
@@ -202,7 +195,6 @@ type tcpNode struct {
 }
 
 type earlyPersFrame struct {
-	kind  byte
 	h     *tcpHdr
 	data  []float64
 	flips []fault.ByteFlip
@@ -370,7 +362,7 @@ func (n *tcpNode) serveAccepted(conn net.Conn) {
 		switch kind {
 		case tfHBData:
 			n.countFrame("hb")
-		case tfData, tfPData, tfPPart:
+		case tfData, tfPData:
 			n.handleData(kind, payload)
 		}
 	}
@@ -429,11 +421,7 @@ func (n *tcpNode) handleData(kind byte, payload []byte) {
 		n.mu.Unlock()
 	case tfPData:
 		n.countFrame("pdata")
-		n.deliverPers(kind, h, data, flips)
-		n.mu.Unlock()
-	case tfPPart:
-		n.countFrame("ppart")
-		n.deliverPers(kind, h, data, flips)
+		n.deliverPers(h, data, flips)
 		n.mu.Unlock()
 	default:
 		n.mu.Unlock()
@@ -788,10 +776,10 @@ func (n *tcpNode) ctlReader() {
 			key := persKey{src: m.Src, dst: m.Dst, tag: m.Tag, slot: m.Slot}
 			n.mu.Lock()
 			if p := n.persSend[key]; p != nil && n.rank == m.Src {
-				p.setPaired(m.Parts)
+				p.setPaired()
 			}
 			if p := n.persRecv[key]; p != nil && n.rank == m.Dst {
-				p.setPaired(m.Parts)
+				p.setPaired()
 			}
 			n.mu.Unlock()
 		case tfVerdict:

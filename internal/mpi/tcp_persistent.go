@@ -6,36 +6,27 @@ import (
 	"time"
 
 	"github.com/bricklab/brick/internal/fault"
-	"github.com/bricklab/brick/internal/flight"
 )
 
-// Persistent and partitioned traffic over tcp. Endpoints register with the
-// coordinator (tfPReg) keyed by (epoch, src, dst, tag, slot), where slot is
-// the per-side ordinal of that (src, dst, tag) triple — the k-th SendInit
-// of a triple pairs with the k-th RecvInit, the same FIFO pairing the chan
+// Persistent traffic over tcp. Endpoints register with the coordinator
+// (tfPReg) keyed by (epoch, src, dst, tag, slot), where slot is the
+// per-side ordinal of that (src, dst, tag) triple — the k-th SendInit of a
+// triple pairs with the k-th RecvInit, the same FIFO pairing the chan
 // backend's table gives. The coordinator pushes tfPaired to both sides once
-// both registered; the sender's partition count rides along, so the
-// receiver knows how many Parrived slots a cycle has before the first
-// partition lands.
+// both registered.
 //
-// Cycles are eager like one-shot sends: an unpartitioned Start puts the
-// whole payload on the wire (tfPData) and Wait completes immediately;
-// a partitioned Start arms the cycle and each Pready ships its partition
-// span (one tfPPart per partition, offset-addressed into the receive
-// buffer). Receive cycles are keyed by the sender's cycle number carried
-// in every frame, so a sender running ahead of the receiver's Start parks
-// its frames in that future cycle's state rather than corrupting the
-// current one — and frames for endpoints not yet registered park in the
-// node's early queue until RecvInit drains them.
+// Cycles are eager like one-shot sends: Start puts the whole payload on the
+// wire (tfPData) and the send side's Wait completes immediately. Receive
+// cycles are keyed by the sender's cycle number carried in every frame, so
+// a sender running ahead of the receiver's Start parks its frames in that
+// future cycle's state rather than corrupting the current one — and frames
+// for endpoints not yet registered park in the node's early queue until
+// RecvInit drains them.
 
 type tcpPersCycle struct {
 	done     chan struct{}
 	complete bool
-	arrived  []bool
-	nparts   int
-	narrived int
 	elems    int
-	fseq     uint64
 	corrupt  *CorruptionError
 	overflow string
 }
@@ -55,17 +46,7 @@ type tcpPers struct {
 	active bool
 	cycle  uint64
 
-	// Send side.
-	bounds    []int
-	ready     []bool
-	nready    int
-	seq       uint64
-	flips     []fault.ByteFlip
-	cycleDone chan struct{}
-
-	// Receive side. nparts is tri-state: -1 until pairing reveals the
-	// sender's shape, 0 for an unpartitioned sender, >0 partitioned.
-	nparts int
+	// Receive side: per-cycle delivery state, keyed by sender cycle.
 	cycles map[uint64]*tcpPersCycle
 }
 
@@ -75,7 +56,7 @@ func (n *tcpNode) sendInit(c *Comm, dst, tag int, buf []float64) *Request {
 	slot := n.slotNext[sk]
 	n.slotNext[sk]++
 	key := persKey{src: c.rank, dst: dst, tag: tag, slot: slot}
-	p := &tcpPers{n: n, c: c, key: key, psend: true, buf: buf, nparts: -1}
+	p := &tcpPers{n: n, c: c, key: key, psend: true, buf: buf}
 	n.persSend[key] = p
 	n.mu.Unlock()
 	n.preg(p)
@@ -88,31 +69,24 @@ func (n *tcpNode) recvInit(c *Comm, src, tag int, buf []float64) *Request {
 	slot := n.slotNext[sk]
 	n.slotNext[sk]++
 	key := persKey{src: src, dst: c.rank, tag: tag, slot: slot}
-	p := &tcpPers{n: n, c: c, key: key, psend: false, buf: buf, nparts: -1, cycles: map[uint64]*tcpPersCycle{}}
+	p := &tcpPers{n: n, c: c, key: key, psend: false, buf: buf, cycles: map[uint64]*tcpPersCycle{}}
 	n.persRecv[key] = p
 	// Frames that beat this registration parked in the early queue.
 	pending := n.early[key]
 	delete(n.early, key)
 	for _, f := range pending {
-		p.deliver(f.kind, f.h, f.data, f.flips)
+		p.deliver(f.h, f.data, f.flips)
 	}
 	n.mu.Unlock()
 	n.preg(p)
 	return &Request{comm: c, op: p, persistent: true, peer: src, tag: tag}
 }
 
-// preg (re-)registers an endpoint with the coordinator; a sender re-sends
-// after partitioning so the pairing note carries the partition count.
+// preg registers an endpoint with the coordinator.
 func (n *tcpNode) preg(p *tcpPers) {
-	p.mu.Lock()
-	parts := 0
-	if p.bounds != nil {
-		parts = len(p.bounds) - 1
-	}
-	p.mu.Unlock()
 	if err := n.ctl.send(tfPReg, &ctlMsg{
 		Rank: n.rank, Src: p.key.src, Dst: p.key.dst, Tag: p.key.tag, Slot: p.key.slot,
-		Parts: parts, Psend: p.psend, Epoch: n.epoch.Load(),
+		Psend: p.psend, Epoch: n.epoch.Load(),
 	}); err != nil {
 		n.w.abort(n.rank, fmt.Errorf("tcp: rank %d lost control connection: %w", n.rank, err))
 		panic(n.w.Aborted())
@@ -120,29 +94,26 @@ func (n *tcpNode) preg(p *tcpPers) {
 }
 
 // deliverPers routes an arrived persistent frame (n.mu held).
-func (n *tcpNode) deliverPers(kind byte, h *tcpHdr, data []float64, flips []fault.ByteFlip) {
+func (n *tcpNode) deliverPers(h *tcpHdr, data []float64, flips []fault.ByteFlip) {
 	key := persKey{src: h.src, dst: h.dst, tag: h.tag, slot: h.slot}
 	p := n.persRecv[key]
 	if p == nil {
-		n.early[key] = append(n.early[key], &earlyPersFrame{kind: kind, h: h, data: data, flips: flips})
+		n.early[key] = append(n.early[key], &earlyPersFrame{h: h, data: data, flips: flips})
 		return
 	}
-	p.deliver(kind, h, data, flips)
+	p.deliver(h, data, flips)
 }
 
-func (p *tcpPers) setPaired(parts int) {
+func (p *tcpPers) setPaired() {
 	p.mu.Lock()
 	p.paired = true
-	if !p.psend {
-		p.nparts = parts
-	}
 	p.mu.Unlock()
 }
 
 func (p *tcpPers) cycleState(cyc uint64) *tcpPersCycle {
 	st := p.cycles[cyc]
 	if st == nil {
-		st = &tcpPersCycle{done: make(chan struct{}), nparts: -1}
+		st = &tcpPersCycle{done: make(chan struct{})}
 		p.cycles[cyc] = st
 	}
 	return st
@@ -159,7 +130,7 @@ func (st *tcpPersCycle) finish() {
 // flips, then the receive-side CRC over what actually landed — the same
 // corruption gauntlet the chan backend runs, raised on the waiting rank at
 // Wait.
-func (p *tcpPers) deliver(kind byte, h *tcpHdr, data []float64, flips []fault.ByteFlip) {
+func (p *tcpPers) deliver(h *tcpHdr, data []float64, flips []fault.ByteFlip) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.freed {
@@ -169,65 +140,21 @@ func (p *tcpPers) deliver(kind byte, h *tcpHdr, data []float64, flips []fault.By
 	if st.complete {
 		return
 	}
-	switch kind {
-	case tfPData:
-		if p.nparts < 0 {
-			p.nparts = 0
-		}
-		nel := len(data)
-		if nel > len(p.buf) {
-			st.overflow = fmt.Sprintf("mpi: persistent message (src %d dst %d tag %d) of %d elements overflows receive buffer of %d",
-				h.src, h.dst, h.tag, nel, len(p.buf))
-			st.finish()
-			return
-		}
-		copy(p.buf[:nel], data)
-		applyFlips(p.buf[:nel], flips)
-		if p.n.w.verifyCRC && crcFloats(data) != crcFloats(p.buf[:nel]) {
-			st.corrupt = &CorruptionError{Src: h.src, Dst: p.c.rank, Tag: h.tag}
-		}
-		st.elems = nel
-		st.fseq = h.fseq
-		p.c.fl.Deliver(int32(h.src), int32(h.tag), -1, int64(8*nel), h.fseq)
+	nel := len(data)
+	if nel > len(p.buf) {
+		st.overflow = fmt.Sprintf("mpi: persistent message (src %d dst %d tag %d) of %d elements overflows receive buffer of %d",
+			h.src, h.dst, h.tag, nel, len(p.buf))
 		st.finish()
-	case tfPPart:
-		if st.arrived == nil {
-			st.nparts = h.nparts
-			st.arrived = make([]bool, h.nparts)
-			if p.nparts < 0 {
-				p.nparts = h.nparts
-			}
-		}
-		i := h.partLo
-		if i < 0 || i >= len(st.arrived) {
-			return
-		}
-		span := len(data)
-		if h.offE < 0 || h.offE+span > len(p.buf) {
-			st.overflow = fmt.Sprintf("mpi: persistent message (src %d dst %d tag %d) of %d elements overflows receive buffer of %d",
-				h.src, h.dst, h.tag, h.offE+span, len(p.buf))
-			st.finish()
-			return
-		}
-		copy(p.buf[h.offE:h.offE+span], data)
-		// Flip offsets are absolute into the full buffer, so they land at
-		// the right elements no matter which span carried them.
-		applyFlips(p.buf, flips)
-		if p.n.w.verifyCRC && crcFloats(data) != crcFloats(p.buf[h.offE:h.offE+span]) {
-			st.corrupt = &CorruptionError{Src: h.src, Dst: p.c.rank, Tag: h.tag}
-		}
-		st.fseq = h.fseq
-		if !st.arrived[i] {
-			st.arrived[i] = true
-			st.narrived++
-			st.elems += span
-			p.c.fl.Record(flight.KindParrived, int32(h.src), int32(h.tag), int32(i), int64(8*span), h.fseq)
-		}
-		if st.narrived == st.nparts {
-			p.c.fl.Deliver(int32(h.src), int32(h.tag), -1, int64(8*st.elems), h.fseq)
-			st.finish()
-		}
+		return
 	}
+	copy(p.buf[:nel], data)
+	applyFlips(p.buf[:nel], flips)
+	if p.n.w.verifyCRC && crcFloats(data) != crcFloats(p.buf[:nel]) {
+		st.corrupt = &CorruptionError{Src: h.src, Dst: p.c.rank, Tag: h.tag}
+	}
+	st.elems = nel
+	p.c.fl.Deliver(int32(h.src), int32(h.tag), -1, int64(8*nel), h.fseq)
+	st.finish()
 }
 
 // ---- persOp ----
@@ -236,14 +163,6 @@ func (p *tcpPers) elems(r *Request) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.buf)
-}
-
-func (p *tcpPers) partition(r *Request, bounds []int) {
-	p.mu.Lock()
-	p.bounds = bounds
-	p.ready = make([]bool, len(bounds)-1)
-	p.mu.Unlock()
-	p.n.preg(p)
 }
 
 func (p *tcpPers) start(r *Request, seq uint64, flips []fault.ByteFlip) {
@@ -270,17 +189,6 @@ func (p *tcpPers) startSend(seq uint64, flips []fault.ByteFlip) {
 	}
 	p.active = true
 	p.cycle++
-	p.seq = seq
-	p.flips = flips
-	if p.bounds != nil {
-		for i := range p.ready {
-			p.ready[i] = false
-		}
-		p.nready = 0
-		p.cycleDone = make(chan struct{})
-		p.mu.Unlock()
-		return
-	}
 	n := p.n
 	h := &tcpHdr{
 		src: p.key.src, dst: p.key.dst, tag: p.key.tag, slot: p.key.slot,
@@ -289,84 +197,6 @@ func (p *tcpPers) startSend(seq uint64, flips []fault.ByteFlip) {
 	payload := encodeDataFrame(h, p.buf, flips)
 	p.mu.Unlock()
 	n.sendData(p.key.dst, tfPData, payload)
-}
-
-func (p *tcpPers) preadyRange(r *Request, lo, hi int) {
-	p.mu.Lock()
-	if p.bounds == nil {
-		p.mu.Unlock()
-		panic("mpi: Pready on an unpartitioned persistent send")
-	}
-	if !p.active {
-		p.mu.Unlock()
-		panic("mpi: Pready before Start")
-	}
-	np := len(p.bounds) - 1
-	if lo < 0 || hi > np || lo >= hi {
-		p.mu.Unlock()
-		panic(fmt.Sprintf("mpi: Pready range [%d,%d) out of bounds for %d partitions", lo, hi, np))
-	}
-	n := p.n
-	frames := make([][]byte, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		if p.ready[i] {
-			p.mu.Unlock()
-			panic(fmt.Sprintf("mpi: partition %d marked ready twice in one cycle", i))
-		}
-		p.ready[i] = true
-		p.nready++
-		loE, hiE := p.bounds[i], p.bounds[i+1]
-		h := &tcpHdr{
-			src: p.key.src, dst: p.key.dst, tag: p.key.tag, slot: p.key.slot,
-			epoch: n.epoch.Load(), inc: n.inc, fseq: p.seq, cyc: p.cycle,
-			offE: loE, partLo: i, partHi: i + 1, nparts: np,
-		}
-		frames = append(frames, encodeDataFrame(h, p.buf[loE:hiE], flipsInRange(p.flips, 8*loE, 8*hiE)))
-		p.c.fl.Record(flight.KindPready, int32(p.key.dst), int32(p.key.tag), int32(i), int64(8*(hiE-loE)), p.seq)
-	}
-	var done chan struct{}
-	if p.nready == np {
-		done = p.cycleDone
-	}
-	p.mu.Unlock()
-	for _, f := range frames {
-		n.sendData(p.key.dst, tfPPart, f)
-	}
-	if done != nil {
-		close(done)
-	}
-	p.c.world.progressTick()
-}
-
-func (p *tcpPers) parrived(r *Request, i int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.nparts == 0 {
-		panic("mpi: Parrived with no partitioned sender matched")
-	}
-	if p.nparts > 0 && i >= p.nparts {
-		panic(fmt.Sprintf("mpi: Parrived partition %d out of range (%d partitions)", i, p.nparts))
-	}
-	st := p.cycles[p.cycle]
-	if st == nil || st.arrived == nil || i < 0 || i >= len(st.arrived) {
-		return false
-	}
-	return st.arrived[i]
-}
-
-func (p *tcpPers) partitions(r *Request) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.psend {
-		if p.bounds == nil {
-			return 0
-		}
-		return len(p.bounds) - 1
-	}
-	if p.nparts < 0 {
-		return 0
-	}
-	return p.nparts
 }
 
 func (p *tcpPers) rebind(r *Request, buf []float64) {
@@ -397,19 +227,7 @@ func (p *tcpPers) free(r *Request) {
 
 func (p *tcpPers) block(r *Request) {
 	if p.psend {
-		p.mu.Lock()
-		done := p.cycleDone
-		partitioned := p.bounds != nil
-		p.mu.Unlock()
-		if !partitioned {
-			return // eager: the cycle went out at Start
-		}
-		select {
-		case <-done:
-			return
-		case <-p.c.world.abortCh:
-			panic(p.c.world.Aborted())
-		}
+		return // eager: the cycle went out at Start
 	}
 	st := p.currentCycle()
 	select {
@@ -421,27 +239,15 @@ func (p *tcpPers) block(r *Request) {
 }
 
 func (p *tcpPers) blockTimeout(r *Request, d time.Duration) error {
-	var done chan struct{}
-	var st *tcpPersCycle
 	if p.psend {
-		p.mu.Lock()
-		done = p.cycleDone
-		partitioned := p.bounds != nil
-		p.mu.Unlock()
-		if !partitioned {
-			return nil
-		}
-	} else {
-		st = p.currentCycle()
-		done = st.done
+		return nil
 	}
+	st := p.currentCycle()
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
-	case <-done:
-		if st != nil {
-			p.raiseDelivered(st)
-		}
+	case <-st.done:
+		p.raiseDelivered(st)
 		return nil
 	case <-p.c.world.abortCh:
 		return p.c.world.Aborted()
@@ -514,20 +320,6 @@ func (p *tcpPers) pendingOps() []PendingOp {
 		if !p.paired {
 			return []PendingOp{{Kind: "psend-unpaired", Src: src, Dst: dst, Tag: tag, Bytes: bytes, Persistent: true}}
 		}
-		if p.active && p.bounds != nil {
-			np := len(p.bounds) - 1
-			if p.nready < np {
-				var unready []int
-				for i := 0; i < np; i++ {
-					if !p.ready[i] {
-						unready = append(unready, i)
-					}
-				}
-				return []PendingOp{{Kind: "psend-partial", Src: src, Dst: dst, Tag: tag, Bytes: bytes,
-					Persistent: true, Partitions: np, Ready: p.nready, Unready: unready}}
-			}
-			return nil
-		}
 		if p.active {
 			return []PendingOp{{Kind: "psend-active", Src: src, Dst: dst, Tag: tag, Bytes: bytes, Persistent: true}}
 		}
@@ -554,14 +346,4 @@ func (p *tcpPers) pendingState() (unmatched, live int) {
 		unmatched = 1
 	}
 	return unmatched, 1
-}
-
-func flipsInRange(flips []fault.ByteFlip, lo, hi int) []fault.ByteFlip {
-	var out []fault.ByteFlip
-	for _, f := range flips {
-		if f.Off >= lo && f.Off < hi {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // Transport is the wire seam of the runtime: it owns endpoint matching,
-// message delivery, partitioned-cycle signaling, and collective rendezvous,
+// message delivery, persistent-cycle signaling, and collective rendezvous,
 // while World/Comm keep everything transport-agnostic — validation, fault
 // injection, traffic counters, tracing, flight recording, metrics, the
 // abort machinery, and the watchdog. A backend registers a factory under a
@@ -93,7 +93,7 @@ type reqOp interface {
 }
 
 // persOp extends reqOp with the persistent-request protocol
-// (Start/Pready/Parrived/Rebind/Free). Implemented by each backend's
+// (Start/Rebind/Free). Implemented by each backend's
 // persistent channel type.
 type persOp interface {
 	reqOp
@@ -102,15 +102,6 @@ type persOp interface {
 	// start activates one transfer cycle; seq/flips carry the generic
 	// stamping results for the send side (zero/nil on the receive side).
 	start(r *Request, seq uint64, flips []fault.ByteFlip)
-	// partition upgrades a freshly built send endpoint to partitioned
-	// (PsendInit); bounds were already validated generically.
-	partition(r *Request, bounds []int)
-	// preadyRange marks partitions [lo, hi) of the active cycle ready.
-	preadyRange(r *Request, lo, hi int)
-	// parrived reports whether partition i of the current cycle arrived.
-	parrived(r *Request, i int) bool
-	// partitions is the partition count (0 when unpartitioned).
-	partitions(r *Request) int
 	// rebind swaps this side's buffer on an inactive request.
 	rebind(r *Request, buf []float64)
 	// free tears the endpoint down (idempotent).

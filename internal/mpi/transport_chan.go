@@ -347,24 +347,10 @@ func (t *chanTransport) pendingOps() []PendingOp {
 		}
 		pc.mu.Lock()
 		if pc.sendFired {
-			op := PendingOp{
+			pending = append(pending, PendingOp{
 				Kind: "psend-active", Src: pc.key.src, Dst: pc.key.dst, Tag: pc.key.tag,
 				Bytes: int64(8 * len(pc.sendBuf)), Persistent: true,
-			}
-			if pc.bounds != nil {
-				op.Partitions, op.Ready = len(pc.ready), pc.nready
-				if pc.nready < len(pc.ready) {
-					// A parked partition: the send is active but some
-					// producing tiles never declared their spans ready.
-					op.Kind = "psend-partial"
-					for i, rdy := range pc.ready {
-						if !rdy {
-							op.Unready = append(op.Unready, i)
-						}
-					}
-				}
-			}
-			pending = append(pending, op)
+			})
 		}
 		if pc.recvFired {
 			pending = append(pending, PendingOp{

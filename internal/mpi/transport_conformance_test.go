@@ -162,70 +162,6 @@ func TestConformancePersistent(t *testing.T) {
 	})
 }
 
-// TestConformancePartitioned drives a partitioned pipeline: partitions are
-// marked ready out of order, the receiver polls Parrived and consumes
-// early partitions before Wait, and the cycle repeats to cover staging
-// reuse.
-func TestConformancePartitioned(t *testing.T) {
-	forEachTransport(t, 2, func(t *testing.T, w *World) {
-		const cycles = 4
-		w.Run(func(c *Comm) {
-			bounds := []int{0, 4, 8, 16}
-			buf := make([]float64, 16)
-			if c.Rank() == 0 {
-				s := c.PsendInit(1, 5, buf, bounds)
-				if got := s.Partitions(); got != 3 {
-					t.Errorf("sender Partitions = %d, want 3", got)
-				}
-				c.Barrier() // both endpoints registered before the first poll
-				for k := 0; k < cycles; k++ {
-					s.Start()
-					for i := range buf {
-						buf[i] = float64(k*100 + i)
-					}
-					// Out-of-order readiness, including a range form.
-					s.Pready(2)
-					s.PreadyRange(0, 2)
-					s.Wait()
-					c.Barrier()
-				}
-				s.Free()
-			} else {
-				r := c.PrecvInit(0, 5, buf)
-				c.Barrier()
-				for k := 0; k < cycles; k++ {
-					r.Start()
-					// Poll one partition early; it must become consumable
-					// before full-cycle Wait.
-					deadline := time.Now().Add(15 * time.Second)
-					for !r.Parrived(2) {
-						if time.Now().After(deadline) {
-							t.Fatal("Parrived(2) never became true")
-						}
-						time.Sleep(50 * time.Microsecond)
-					}
-					if got := buf[8]; got != float64(k*100+8) {
-						t.Errorf("cycle %d early partition elem = %v, want %v", k, got, float64(k*100+8))
-					}
-					if got := r.Wait(); got != 16 {
-						t.Errorf("cycle %d recv Wait = %d, want 16", k, got)
-					}
-					for i := range buf {
-						if buf[i] != float64(k*100+i) {
-							t.Fatalf("cycle %d elem %d: got %v", k, i, buf[i])
-						}
-					}
-					c.Barrier()
-				}
-				r.Free()
-			}
-		})
-		if ae := w.Aborted(); ae != nil {
-			t.Fatalf("world aborted: %v", ae)
-		}
-	})
-}
-
 // TestConformanceAbortUnblocksWaits: an abort raised on one rank must
 // unblock a peer parked in a receive Wait that would otherwise never
 // complete, and surface the originating value on every rank.

@@ -11,7 +11,6 @@ import (
 	"unsafe"
 
 	"github.com/bricklab/brick/internal/fault"
-	"github.com/bricklab/brick/internal/flight"
 	"github.com/bricklab/brick/internal/shmem"
 )
 
@@ -19,8 +18,8 @@ import (
 // segment (internal/shmem arena), so the ranks of a world may live in
 // separate worker processes: the supervisor creates the segment, workers
 // inherit its fd and attach (AttachShmemWorld), and every message, staged
-// persistent cycle, partitioned-readiness word, and collective rendezvous
-// lives in the segment where all processes can reach it.
+// persistent cycle, and collective rendezvous lives in the segment where
+// all processes can reach it.
 //
 // Layout (all offsets 8-aligned; fixed regions first, bump heap last):
 //
@@ -120,13 +119,10 @@ const (
 	peCrc1
 	peSeqW0 // per-slot flight sequence stamp
 	peSeqW1
-	peSendSeq   // last fully published send cycle (non-partitioned)
+	peSendSeq   // last fully published send cycle
 	peDoneSeq   // last cycle the receiver consumed
 	peSendStart // last cycle the send side Started (stall reporting)
 	peRecvStart // last cycle the recv side Started (stall reporting)
-	peNParts    // partition count, 0 when unpartitioned
-	peBounds    // heap offset of the P+1 element bounds
-	peReady     // heap offset of P readyCycle words (value = cycle number)
 	peWords
 )
 
@@ -1040,28 +1036,11 @@ func (t *shmemTransport) pendingOps() []PendingOp {
 			continue
 		}
 		done := t.pw(e, peDoneSeq)
-		if ss := t.pw(e, peSendStart); ss > done {
-			op := PendingOp{
+		if t.pw(e, peSendStart) > done {
+			ops = append(ops, PendingOp{
 				Kind: "psend-active", Src: src, Dst: dst, Tag: tag,
 				Bytes: int64(8 * t.pw(e, peSendElems)), Persistent: true,
-			}
-			if parts := int(t.pw(e, peNParts)); parts > 0 {
-				op.Partitions = parts
-				ready := int(t.pw(e, peReady))
-				for p := 0; p < parts; p++ {
-					if atomic.LoadUint64(t.w64(ready+p*8)) == ss {
-						op.Ready++
-					} else {
-						op.Unready = append(op.Unready, p)
-					}
-				}
-				if op.Ready < parts {
-					op.Kind = "psend-partial"
-				} else {
-					op.Unready = nil
-				}
-			}
-			ops = append(ops, op)
+			})
 		}
 		if rs := t.pw(e, peRecvStart); rs > done {
 			ops = append(ops, PendingOp{
@@ -1114,11 +1093,7 @@ func (t *shmemTransport) persistentPending() (unmatched, live int) {
 // spins for its cycle's publication, copies staging into its own buffer,
 // and publishes peDoneSeq. A sender may run at most one full cycle ahead
 // (slot reuse waits for peDoneSeq >= cycle-2), which is exactly the
-// pipelining the chan backend's token channels allow. Partitioned sends
-// stage per-partition spans at Pready time and stamp the span's readyCycle
-// word, so Parrived on the receive side observes partitions early; only
-// one partitioned cycle is in flight at a time (readyCycle words hold a
-// single cycle number).
+// pipelining the chan backend's token channels allow.
 
 // shmPers is one side's process-local handle on a table entry.
 type shmPers struct {
@@ -1133,19 +1108,12 @@ type shmPers struct {
 	gone   bool // this side called Free
 
 	// send side
-	seq      uint64
-	flips    []fault.ByteFlip
-	staged   bool
-	started  time.Time
-	bounds   []int // partitioned send: element offsets
-	readyLoc []bool
-	copied   []bool
-	nready   int
-	ncopied  int
+	seq     uint64
+	flips   []fault.ByteFlip
+	staged  bool
+	started time.Time
 	// receive side
-	arrived  []bool
-	narrived int
-	n        int
+	n int
 }
 
 // entryKeyEq reports whether table entry e carries exactly this endpoint
@@ -1168,14 +1136,6 @@ func (t *shmemTransport) checkEntrySizes(e int) {
 		t.persLockRelease()
 		panic(fmt.Sprintf("mpi: persistent message (src %d dst %d tag %d) of %d elements overflows receive buffer of %d",
 			src, dst, tag, se, re))
-	}
-	if p := int(t.pw(e, peNParts)); p > 0 && t.pw(e, peSendReg) != 0 {
-		cover := int(t.pw(int(t.pw(e, peBounds))+p*8, 0))
-		if cover != se {
-			t.persLockRelease()
-			panic(fmt.Sprintf("mpi: partitioned send (src %d dst %d tag %d) bounds cover %d elements but the buffer holds %d",
-				src, dst, tag, cover, se))
-		}
 	}
 }
 
@@ -1253,51 +1213,15 @@ func (t *shmemTransport) recvInit(c *Comm, src, tag int, buf []float64) *Request
 
 func (p *shmPers) elems(r *Request) int { return len(p.buf) }
 
-func (p *shmPers) partition(r *Request, bounds []int) {
-	t := p.t
-	np := len(bounds) - 1
-	p.mu.Lock()
-	p.bounds = append([]int(nil), bounds...)
-	p.readyLoc = make([]bool, np)
-	p.copied = make([]bool, np)
-	p.mu.Unlock()
-	t.persLockAcquire()
-	boff := t.alloc(8 * (np + 1))
-	for i, b := range bounds {
-		atomic.StoreUint64(t.w64(boff+8*i), uint64(b))
-	}
-	roff := t.alloc(8 * np) // readyCycle words, zero = never ready
-	t.setPW(p.e, peBounds, uint64(boff))
-	t.setPW(p.e, peReady, uint64(roff))
-	// nparts last: the receive side reads the offsets only once it sees a
-	// nonzero partition count.
-	t.setPW(p.e, peNParts, uint64(np))
-	t.checkEntrySizes(p.e)
-	t.persLockRelease()
-}
-
-// recvParts loads the sender's partitioning from the entry (0 when the
-// matched sender is unpartitioned or not yet registered).
-func (p *shmPers) recvParts() (np int, bounds, ready int) {
-	t := p.t
-	np = int(t.pw(p.e, peNParts))
-	if np == 0 {
-		return 0, 0, 0
-	}
-	return np, int(t.pw(p.e, peBounds)), int(t.pw(p.e, peReady))
-}
-
 // stageWait blocks until staging slot cycle%2 is safe to overwrite: the
-// receiver consumed the cycle that used it last. lag is 2 for the
-// double-buffered unpartitioned path, 1 for partitioned (single cycle in
-// flight — readyCycle words hold one cycle number).
-func (p *shmPers) stageWait(k uint64, lag uint64) {
+// receiver consumed the cycle that used it last, two cycles back.
+func (p *shmPers) stageWait(k uint64) {
 	t := p.t
 	done := t.w64(p.e + peDoneSeq*8)
 	var sp spinner
 	for {
 		d := atomic.LoadUint64(done)
-		if d+lag >= k {
+		if d+2 >= k {
 			return
 		}
 		if ae := t.checkAbort(); ae != nil {
@@ -1322,8 +1246,8 @@ func (p *shmPers) matchWait(peerReg int) {
 }
 
 // stageCycle copies the full send buffer into slot k%2 and publishes the
-// cycle (unpartitioned sends). Caller holds p.mu; the peer must be
-// registered and the slot reusable (stageWait).
+// cycle. Caller holds p.mu; the peer must be registered and the slot
+// reusable (stageWait).
 func (p *shmPers) stageCycle(k uint64) {
 	t, e := p.t, p.e
 	t.persLockAcquire()
@@ -1360,24 +1284,8 @@ func (p *shmPers) start(r *Request, seq uint64, flips []fault.ByteFlip) {
 			p.started = time.Now()
 		}
 		atomic.StoreUint64(t.w64(p.e+peSendStart*8), k)
-		if p.bounds != nil {
-			// Partitioned: nothing becomes visible at Start. Wait for the
-			// previous cycle to drain (single in flight), then expose this
-			// cycle's flight sequence so per-partition deliveries can be
-			// attributed before the cycle's metadata lands.
-			for i := range p.readyLoc {
-				p.readyLoc[i] = false
-				p.copied[i] = false
-			}
-			p.nready, p.ncopied = 0, 0
-			p.staged = false
-			p.stageWait(k, 1)
-			t.setPW(p.e, peSeqW0+int(k%2), seq)
-			p.mu.Unlock()
-			return
-		}
 		if t.pw(p.e, peRecvReg) != 0 {
-			p.stageWait(k, 2)
+			p.stageWait(k)
 			p.stageCycle(k)
 		} else {
 			// Unmatched: defer staging to Wait, where we block for the peer.
@@ -1394,183 +1302,21 @@ func (p *shmPers) start(r *Request, seq uint64, flips []fault.ByteFlip) {
 	p.active = true
 	p.cycle++
 	atomic.StoreUint64(t.w64(p.e+peRecvStart*8), p.cycle)
-	if np, _, _ := p.recvParts(); np > 0 {
-		if len(p.arrived) != np {
-			p.arrived = make([]bool, np)
-		}
-		for i := range p.arrived {
-			p.arrived[i] = false
-		}
-		p.narrived = 0
-	}
 	p.mu.Unlock()
-}
-
-func (p *shmPers) preadyRange(r *Request, lo, hi int) {
-	t := p.t
-	c := r.comm
-	p.mu.Lock()
-	if p.bounds == nil {
-		p.mu.Unlock()
-		panic("mpi: Pready on an unpartitioned persistent send")
-	}
-	if !p.active {
-		p.mu.Unlock()
-		panic("mpi: Pready before Start")
-	}
-	np := len(p.bounds) - 1
-	if lo < 0 || hi > np || lo >= hi {
-		p.mu.Unlock()
-		panic(fmt.Sprintf("mpi: Pready range [%d,%d) out of bounds for %d partitions", lo, hi, np))
-	}
-	for i := lo; i < hi; i++ {
-		if p.readyLoc[i] {
-			p.mu.Unlock()
-			panic(fmt.Sprintf("mpi: partition %d marked ready twice in one cycle", i))
-		}
-		p.readyLoc[i] = true
-		p.nready++
-		c.fl.Record(flight.KindPready, int32(r.peer), int32(r.tag), int32(i),
-			int64(8*(p.bounds[i+1]-p.bounds[i])), p.seq)
-	}
-	if t.pw(p.e, peRecvReg) != 0 {
-		p.flushReadyLocked()
-	}
-	p.mu.Unlock()
-	// Partitions advancing is progress: without this tick a long compute
-	// phase with an armed pipeline would read as a stall to the watchdog.
-	c.world.progressTick()
-}
-
-// flushReadyLocked copies every locally-ready-but-unstaged partition span
-// into the cycle's staging slot and stamps its readyCycle word. The stamp
-// that completes the set is preceded by the cycle's metadata (elems, flip
-// list, CRC), so a receiver that has observed every stamp can trust the
-// metadata words. Caller holds p.mu; the receive side must be registered.
-func (p *shmPers) flushReadyLocked() {
-	t, e := p.t, p.e
-	k := p.cycle
-	np := len(p.bounds) - 1
-	t.persLockAcquire()
-	t.ensureStaging(e, len(p.buf))
-	t.persLockRelease()
-	slot := int(k % 2)
-	stage := int(t.pw(e, peStage0+slot))
-	ready := int(t.pw(e, peReady))
-	for i := 0; i < np; i++ {
-		if !p.readyLoc[i] || p.copied[i] {
-			continue
-		}
-		lo, hi := p.bounds[i], p.bounds[i+1]
-		copy(t.floats(stage, len(p.buf))[lo:hi], p.buf[lo:hi])
-		p.copied[i] = true
-		p.ncopied++
-		if p.ncopied == np {
-			fo, fc := t.writeFlips(p.flips)
-			t.setPW(e, peFlipsOff0+slot, uint64(fo))
-			t.setPW(e, peFlipsCnt0+slot, uint64(fc))
-			if t.w.verifyCRC {
-				// The staged copy carries the cycle's payload exactly; CRC it
-				// rather than p.buf so a racing compute thread mutating the
-				// source after Pready cannot poison verification.
-				t.setPW(e, peCrc0+slot, uint64(crcFloats(t.floats(stage, len(p.buf)))))
-			}
-			t.setPW(e, peElems0+slot, uint64(len(p.buf)))
-		}
-		atomic.StoreUint64(t.w64(ready+8*i), k)
-	}
-	if p.ncopied == np {
-		p.staged = true
-	}
-}
-
-func (p *shmPers) parrived(r *Request, i int) bool {
-	t := p.t
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	np, bounds, ready := p.recvParts()
-	if np == 0 {
-		panic("mpi: Parrived with no partitioned sender matched")
-	}
-	if i < 0 || i >= np {
-		panic(fmt.Sprintf("mpi: Parrived partition %d out of range (%d partitions)", i, np))
-	}
-	if len(p.arrived) != np {
-		p.arrived = make([]bool, np)
-	}
-	if p.arrived[i] {
-		return true
-	}
-	if atomic.LoadUint64(t.w64(ready+8*i)) != p.cycle {
-		return false
-	}
-	p.copyPartLocked(r, i, bounds)
-	return true
-}
-
-// copyPartLocked moves one arrived partition span from staging into the
-// receive buffer. Caller holds p.mu and has checked the readyCycle stamp.
-func (p *shmPers) copyPartLocked(r *Request, i, bounds int) {
-	t, e := p.t, p.e
-	slot := int(p.cycle % 2)
-	stage := int(t.pw(e, peStage0+slot))
-	lo := int(t.pw(bounds+8*i, 0))
-	hi := int(t.pw(bounds+8*(i+1), 0))
-	copy(p.buf[lo:hi], t.floats(stage+8*lo, hi-lo))
-	r.comm.fl.Record(flight.KindParrived, int32(r.peer), int32(r.tag), int32(i),
-		int64(8*(hi-lo)), t.pw(e, peSeqW0+slot))
-	p.arrived[i] = true
-	p.narrived++
-}
-
-func (p *shmPers) partitions(r *Request) int {
-	if r.psend {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if p.bounds == nil {
-			return 0
-		}
-		return len(p.bounds) - 1
-	}
-	np, _, _ := p.recvParts()
-	return np
 }
 
 // waitSend completes the send side of a cycle: ensure the payload is
-// staged and published. deadline is zero for an unbounded wait.
-func (p *shmPers) waitSend(r *Request, deadline time.Time) error {
-	t := p.t
+// staged and published. A send whose peer registered before Start is
+// already staged; otherwise this blocks for the peer's registration.
+func (p *shmPers) waitSend() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.staged || !p.active {
-		return nil
-	}
-	if p.bounds != nil {
-		// Partitioned: every partition must be locally ready, and (if the
-		// peer was slow to register) staged+stamped.
-		var sp spinner
-		for p.nready < len(p.bounds)-1 {
-			if ae := t.checkAbort(); ae != nil {
-				panic(ae)
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				return &TimeoutError{Op: p.opName(r)}
-			}
-			// Pready arrives from other goroutines; let them in.
-			p.mu.Unlock()
-			sp.spin()
-			p.mu.Lock()
-		}
-		if !p.staged {
-			p.matchWait(peRecvReg)
-			p.flushReadyLocked()
-		}
-		return nil
+		return
 	}
 	p.matchWait(peRecvReg)
-	p.stageWait(p.cycle, 2)
+	p.stageWait(p.cycle)
 	p.stageCycle(p.cycle)
-	return nil
 }
 
 // waitRecv completes the receive side of a cycle: block for the sender's
@@ -1590,42 +1336,19 @@ func (p *shmPers) waitRecv(r *Request, deadline time.Time) (*CorruptionError, er
 	}
 	slot := int(k % 2)
 	var sp spinner
-	if np, bounds, ready := p.recvParts(); np > 0 {
-		if len(p.arrived) != np {
-			p.arrived = make([]bool, np)
+	sendSeq := t.w64(e + peSendSeq*8)
+	for atomic.LoadUint64(sendSeq) < k {
+		if ae := t.checkAbort(); ae != nil {
+			panic(ae)
 		}
-		for i := 0; i < np; i++ {
-			for !p.arrived[i] {
-				if atomic.LoadUint64(t.w64(ready+8*i)) == k {
-					p.copyPartLocked(r, i, bounds)
-					break
-				}
-				if ae := t.checkAbort(); ae != nil {
-					panic(ae)
-				}
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					return nil, &TimeoutError{Op: p.opName(r)}
-				}
-				sp.spin()
-			}
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return nil, &TimeoutError{Op: p.opName(r)}
 		}
-	} else {
-		sendSeq := t.w64(e + peSendSeq*8)
-		for atomic.LoadUint64(sendSeq) < k {
-			if ae := t.checkAbort(); ae != nil {
-				panic(ae)
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				return nil, &TimeoutError{Op: p.opName(r)}
-			}
-			sp.spin()
-		}
-		n := int(t.pw(e, peElems0+slot))
-		stage := int(t.pw(e, peStage0+slot))
-		copy(p.buf[:n], t.floats(stage, n))
-		p.n = n
+		sp.spin()
 	}
 	n := int(t.pw(e, peElems0+slot))
+	stage := int(t.pw(e, peStage0+slot))
+	copy(p.buf[:n], t.floats(stage, n))
 	p.n = n
 	if fc := int(t.pw(e, peFlipsCnt0+slot)); fc > 0 {
 		applyFlips(p.buf[:n], t.readFlips(int(t.pw(e, peFlipsOff0+slot)), fc))
@@ -1645,7 +1368,7 @@ func (p *shmPers) waitRecv(r *Request, deadline time.Time) (*CorruptionError, er
 
 func (p *shmPers) block(r *Request) {
 	if r.psend {
-		p.waitSend(r, time.Time{})
+		p.waitSend()
 		return
 	}
 	corrupt, _ := p.waitRecv(r, time.Time{})
@@ -1659,12 +1382,7 @@ func (p *shmPers) block(r *Request) {
 func (p *shmPers) blockTimeout(r *Request, d time.Duration) error {
 	deadline := time.Now().Add(d)
 	if r.psend {
-		if err := p.waitSend(r, deadline); err != nil {
-			if te, ok := err.(*TimeoutError); ok {
-				te.After = d
-			}
-			return err
-		}
+		p.waitSend()
 		return nil
 	}
 	corrupt, err := p.waitRecv(r, deadline)

@@ -41,8 +41,8 @@ import (
 // small control server — rendezvous handshake, address lookup, collective
 // combining, abort broadcast, persistent-endpoint pairing, recovery-round
 // verdicts — and every rank runs a node holding the data path: a listener
-// plus one framed stream per peer it talks to, carrying one-shot,
-// persistent, and partitioned traffic directly rank-to-rank. In-process
+// plus one framed stream per peer it talks to, carrying one-shot and
+// persistent traffic directly rank-to-rank. In-process
 // worlds attach one node per rank lazily (newComm); worker processes attach
 // their single rank from the BRICK_TCP_WORLD environment contract.
 
@@ -80,8 +80,7 @@ const (
 	tfJoinOK = 21 // data accept: welcome
 	tfJoinNo = 22 // data reject: stale epoch/incarnation or wrong world
 	tfData   = 23 // one-shot message
-	tfPData  = 24 // persistent (unpartitioned) cycle payload
-	tfPPart  = 25 // partitioned cycle partition span
+	tfPData  = 24 // persistent cycle payload
 	tfHBData = 26 // data-connection heartbeat (empty payload)
 )
 
@@ -116,7 +115,6 @@ type ctlMsg struct {
 	Dst      int        `json:"dst"`
 	Tag      int        `json:"tag"`
 	Slot     int        `json:"slot"`
-	Parts    int        `json:"parts"`
 	Psend    bool       `json:"psend"`
 	Progress int64      `json:"progress"`
 }
@@ -471,7 +469,6 @@ type pairKey struct {
 type pairState struct {
 	sendCC, recvCC   *ctlConn
 	sendSet, recvSet bool
-	parts            int
 }
 
 // tcpCoord is the control server: one per world, living in the process
@@ -716,17 +713,16 @@ func (c *tcpCoord) handlePReg(cc *ctlConn, m *ctlMsg) {
 	}
 	if m.Psend {
 		ps.sendCC, ps.sendSet = cc, true
-		ps.parts = m.Parts
 	} else {
 		ps.recvCC, ps.recvSet = cc, true
 	}
 	paired := ps.sendSet && ps.recvSet
-	sendCC, recvCC, parts := ps.sendCC, ps.recvCC, ps.parts
+	sendCC, recvCC := ps.sendCC, ps.recvCC
 	c.mu.Unlock()
 	if !paired {
 		return
 	}
-	note := &ctlMsg{Src: m.Src, Dst: m.Dst, Tag: m.Tag, Slot: m.Slot, Parts: parts, Epoch: m.Epoch}
+	note := &ctlMsg{Src: m.Src, Dst: m.Dst, Tag: m.Tag, Slot: m.Slot, Epoch: m.Epoch}
 	sendCC.send(tfPaired, note)
 	if recvCC != sendCC {
 		recvCC.send(tfPaired, note)

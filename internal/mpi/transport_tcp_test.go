@@ -315,7 +315,7 @@ func TestTCPNetPartitionReconnects(t *testing.T) {
 		}
 	})
 	if ae := w.Aborted(); ae != nil {
-		t.Fatalf("partitioned run aborted: %v", ae)
+		t.Fatalf("severed-link run aborted: %v", ae)
 	}
 	got := reg.Counter(metrics.TransportReconnectsTotal, metrics.Labels{"rank": "0", "peer": "1"}).Value()
 	if got < 1 {

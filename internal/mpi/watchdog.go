@@ -154,9 +154,6 @@ type PendingOp struct {
 	//	precv-unpaired  a persistent receive endpoint whose SendInit never
 	//	                registered
 	//	psend-active    a started persistent send whose peer has not started
-	//	psend-partial   a started partitioned send with partitions not yet
-	//	                marked ready (Unready names them) — the producing
-	//	                tiles never fired Pready
 	//	precv-active    a started persistent receive whose peer has not started
 	//	recovery-parked a rank parked at the RunRecoverable recovery barrier
 	//	                awaiting a respawn/give-up verdict (Src is the rank)
@@ -166,12 +163,6 @@ type PendingOp struct {
 	Tag        int    `json:"tag"`
 	Bytes      int64  `json:"bytes"`
 	Persistent bool   `json:"persistent"`
-	// Partitions/Ready/Unready describe a partitioned persistent send:
-	// total partition count, how many are ready, and the indices still
-	// unready (psend-partial only).
-	Partitions int   `json:"partitions,omitempty"`
-	Ready      int   `json:"ready,omitempty"`
-	Unready    []int `json:"unready,omitempty"`
 }
 
 // StallReport is the structured dump the watchdog produces on a stall:
@@ -280,9 +271,6 @@ func (r *StallReport) String() string {
 			wildcard(op.Src), wildcard(op.Dst), wildcard(op.Tag), op.Bytes)
 		if op.Persistent {
 			b.WriteString(" persistent")
-		}
-		if op.Kind == "psend-partial" {
-			fmt.Fprintf(&b, " parts=%d/%d unready=%v", op.Ready, op.Partitions, op.Unready)
 		}
 		b.WriteByte('\n')
 	}

@@ -13,45 +13,40 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// stallSnapshot builds a deterministic capture of the canonical partitioned
-// stall: rank 3's tile 2 started but never finished, so its Pready for
-// partition 2 of the send to rank 5 (tag 41) never fired; rank 5 sits in
-// Wait on the partial receive. A second, healthy exchange (rank 0 → rank 1)
-// exercises the cross-ring seq jump.
+// stallSnapshot builds a deterministic capture of a mismatched-tag stall:
+// rank 5 posted a receive from rank 3 with tag 41, but rank 3 sent tag 40
+// instead, so the receive is blamed on a send that was never posted and the
+// send on a receive that was never posted. Rank 5's history passes through
+// a healthy delivery from rank 0 (tag 17), which exercises the cross-ring
+// seq jump.
 func stallSnapshot() *flight.Snapshot {
 	return &flight.Snapshot{
 		Reason: "stall",
 		Detail: "mpi: watchdog abort: stall: 2 pending ops in world of 8 (no progress for 250ms)",
 		Depth:  1024,
 		Pending: []flight.PendingRef{
-			{Kind: "psend-partial", Src: 3, Dst: 5, Tag: 41, Partitions: 4, Unready: []int{2}},
-			{Kind: "precv-active", Src: 3, Dst: 5, Tag: 41},
+			{Kind: "recv-posted", Src: 3, Dst: 5, Tag: 41},
+			{Kind: "send-unmatched", Src: 3, Dst: 5, Tag: 40},
 		},
 		Ranks: []flight.RankLog{
 			{Rank: 0, Total: 3, Events: []flight.Event{
 				{Nanos: 1_000_000, Kind: flight.KindStep, Step: 2, Peer: -1, Tag: -1, Part: -1},
-				{Nanos: 1_100_000, Kind: flight.KindSendPost, Step: 2, Peer: 1, Tag: 17, Part: -1, Seq: 3, Bytes: 256},
+				{Nanos: 1_100_000, Kind: flight.KindSendPost, Step: 2, Peer: 5, Tag: 17, Part: -1, Seq: 3, Bytes: 256},
 				{Nanos: 1_150_000, Kind: flight.KindPhase, Step: 2, Peer: -1, Tag: -1, Part: flight.PhaseInterior},
 			}},
-			{Rank: 1, Total: 4, Events: []flight.Event{
-				{Nanos: 1_000_500, Kind: flight.KindStep, Step: 2, Peer: -1, Tag: -1, Part: -1},
-				{Nanos: 1_050_000, Kind: flight.KindRecvPost, Step: 2, Peer: 0, Tag: 17, Part: -1, Bytes: 256},
-				{Nanos: 1_200_000, Kind: flight.KindDeliver, Step: 2, Peer: 0, Tag: 17, Part: -1, Seq: 3, Bytes: 256},
-				{Nanos: 1_250_000, Kind: flight.KindWaitStart, Step: 2, Peer: 0, Tag: 17, Part: -1},
-			}},
-			{Rank: 3, Total: 6, Events: []flight.Event{
+			{Rank: 3, Total: 4, Events: []flight.Event{
 				{Nanos: 1_001_000, Kind: flight.KindStep, Step: 2, Peer: -1, Tag: -1, Part: -1},
-				{Nanos: 1_010_000, Kind: flight.KindSendPost, Step: 2, Peer: 5, Tag: 41, Part: -1, Seq: 3, Bytes: 1024},
-				{Nanos: 1_020_000, Kind: flight.KindTileStart, Step: 2, Peer: -1, Tag: -1, Part: 1},
-				{Nanos: 1_030_000, Kind: flight.KindTileDone, Step: 2, Peer: -1, Tag: -1, Part: 1},
-				{Nanos: 1_031_000, Kind: flight.KindPready, Step: 2, Peer: 5, Tag: 41, Part: 1, Seq: 3, Bytes: 256},
-				{Nanos: 1_040_000, Kind: flight.KindTileStart, Step: 2, Peer: -1, Tag: -1, Part: 2},
+				{Nanos: 1_005_000, Kind: flight.KindPhase, Step: 2, Peer: -1, Tag: -1, Part: flight.PhaseExchange},
+				{Nanos: 1_010_000, Kind: flight.KindSendPost, Step: 2, Peer: 5, Tag: 40, Part: -1, Seq: 1, Bytes: 1024},
+				{Nanos: 1_020_000, Kind: flight.KindWaitStart, Step: 2, Peer: 5, Tag: 40, Part: -1},
 			}},
-			{Rank: 5, Total: 4, Events: []flight.Event{
+			{Rank: 5, Total: 6, Events: []flight.Event{
 				{Nanos: 1_002_000, Kind: flight.KindStep, Step: 2, Peer: -1, Tag: -1, Part: -1},
-				{Nanos: 1_015_000, Kind: flight.KindRecvPost, Step: 2, Peer: 3, Tag: 41, Part: -1, Bytes: 1024},
-				{Nanos: 1_035_000, Kind: flight.KindParrived, Step: 2, Peer: 3, Tag: 41, Part: 1, Seq: 3, Bytes: 256},
-				{Nanos: 1_045_000, Kind: flight.KindWaitStart, Step: 2, Peer: 3, Tag: 41, Part: -1},
+				{Nanos: 1_003_000, Kind: flight.KindPhase, Step: 2, Peer: -1, Tag: -1, Part: flight.PhaseExchange},
+				{Nanos: 1_004_000, Kind: flight.KindRecvPost, Step: 2, Peer: 0, Tag: 17, Part: -1, Bytes: 256},
+				{Nanos: 1_120_000, Kind: flight.KindDeliver, Step: 2, Peer: 0, Tag: 17, Part: -1, Seq: 3, Bytes: 256},
+				{Nanos: 1_130_000, Kind: flight.KindRecvPost, Step: 2, Peer: 3, Tag: 41, Part: -1, Bytes: 1024},
+				{Nanos: 1_250_000, Kind: flight.KindWaitStart, Step: 2, Peer: 3, Tag: 41, Part: -1},
 			}},
 		},
 	}
@@ -66,33 +61,39 @@ func TestCausalChains(t *testing.T) {
 		t.Fatalf("%d chains, want 2 (one per pending op)", len(chains))
 	}
 
-	send := chains[0]
-	if send.Pending.Kind != "psend-partial" {
-		t.Fatalf("chain 0 pending = %+v", send.Pending)
+	recv := chains[0]
+	if recv.Pending.Kind != "recv-posted" || len(recv.Links) == 0 {
+		t.Fatalf("chain 0 = %+v, want a non-empty recv-posted chain", recv)
 	}
-	if len(send.Links) == 0 {
-		t.Fatal("psend-partial chain is empty")
+	last := recv.Links[len(recv.Links)-1]
+	if last.Rank != 5 || last.Event.Kind != flight.KindRecvPost || last.Event.Tag != 41 {
+		t.Fatalf("recv-posted terminal link = %+v, want rank 5's recv-post tag=41", last)
 	}
-	last := send.Links[len(send.Links)-1]
-	if last.Rank != 3 || last.Event.Kind != flight.KindSendPost || last.Event.Tag != 41 {
-		t.Fatalf("psend-partial terminal link = %+v, want rank 3's send-post tag=41", last)
+	// Rank 5's history passes through the delivery of rank 0's seq 3, so
+	// the walk must hop to rank 0's stamped send-post.
+	hopped := false
+	for _, l := range recv.Links {
+		if l.Cross && l.Rank == 0 && l.Event.Kind == flight.KindSendPost && l.Event.Seq == 3 {
+			hopped = true
+		}
 	}
-	wantBlame := "rank 3 tile 2 started but never finished, so Pready for partition 2 never fired, stalling rank 5's recv tag 41"
-	if send.Blame != wantBlame {
-		t.Errorf("blame = %q,\nwant    %q", send.Blame, wantBlame)
+	if !hopped {
+		t.Errorf("recv-posted chain never hopped to rank 0's send-post: %+v", recv.Links)
+	}
+	if want := "rank 3 never posted a send tag=41 to rank 5"; recv.Blame != want {
+		t.Errorf("blame = %q,\nwant    %q", recv.Blame, want)
 	}
 
-	recv := chains[1]
-	last = recv.Links[len(recv.Links)-1]
-	if last.Rank != 5 || last.Event.Kind != flight.KindRecvPost {
-		t.Fatalf("precv-active terminal link = %+v, want rank 5's recv-post", last)
+	send := chains[1]
+	last = send.Links[len(send.Links)-1]
+	if last.Rank != 3 || last.Event.Kind != flight.KindSendPost || last.Event.Tag != 40 {
+		t.Fatalf("send-unmatched terminal link = %+v, want rank 3's send-post tag=40", last)
 	}
-	// The walk must hop from rank 5's parrived (seq 3) to rank 3's stamped
-	// send-post — actually the recv-post predecessor walk stays local; the
-	// hop shows up in chains whose history passes through a delivery. Check
-	// the blame instead: the send was posted but partition 2 never arrived.
-	if recv.Blame != "" && !strings.Contains(recv.Blame, "rank 3") {
-		t.Errorf("precv-active blame = %q", recv.Blame)
+	if want := "rank 5 never posted a matching receive for tag=40 from rank 3"; send.Blame != want {
+		t.Errorf("blame = %q,\nwant    %q", send.Blame, want)
+	}
+	if strings.Contains(send.Blame, "tag=41") {
+		t.Errorf("send-unmatched blame names the wrong tag: %q", send.Blame)
 	}
 }
 
@@ -103,7 +104,7 @@ func TestCausalChainCrossRankHop(t *testing.T) {
 		Pending: []flight.PendingRef{{Kind: "recv-posted", Src: 0, Dst: 1, Tag: 99}},
 		Ranks: []flight.RankLog{
 			{Rank: 0, Events: []flight.Event{
-				{Nanos: 100, Kind: flight.KindTileDone, Peer: -1, Tag: -1, Part: 4},
+				{Nanos: 100, Kind: flight.KindPhase, Peer: -1, Tag: -1, Part: flight.PhaseSurface},
 				{Nanos: 200, Kind: flight.KindSendPost, Peer: 1, Tag: 17, Part: -1, Seq: 2, Bytes: 64},
 			}},
 			{Rank: 1, Events: []flight.Event{
@@ -118,7 +119,7 @@ func TestCausalChainCrossRankHop(t *testing.T) {
 	}
 	links := chains[0].Links
 	if len(links) != 4 {
-		t.Fatalf("chain has %d links, want 4 (tile-done, send-post, deliver, recv-post): %+v", len(links), links)
+		t.Fatalf("chain has %d links, want 4 (phase, send-post, deliver, recv-post): %+v", len(links), links)
 	}
 	if links[0].Rank != 0 || links[1].Rank != 0 || links[2].Rank != 1 || links[3].Rank != 1 {
 		t.Fatalf("chain ranks = %+v, want [0 0 1 1]", links)

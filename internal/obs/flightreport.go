@@ -14,13 +14,13 @@ import (
 // one causal chain per pending operation with its blamed edge:
 //
 //	flight artifact: reason=stall depth=1024 ranks=8
-//	rank 3: 240 events (0 dropped), last 4:
-//	  [   +1.204ms] tile-start step=2 tile=7
+//	rank 5: 240 events (0 dropped), last 4:
+//	  [   +1.130ms] recv-post step=2 peer=3 tag=41 bytes=1024
 //	  ...
-//	pending psend-partial src=3 dst=5 tag=41:
-//	  rank 3  [   +1.102ms] send-post step=2 peer=5 tag=41 seq=3 ...
+//	pending recv-posted src=3 dst=5 tag=41:
+//	  rank 5  [   +1.130ms] recv-post step=2 peer=3 tag=41 bytes=1024
 //	  ...
-//	  blamed: rank 3 tile 7 started but never finished, ...
+//	  blamed: rank 3 never posted a send tag=41 to rank 5
 //
 // lastN bounds each rank's timeline (<= 0 shows every retained event).
 func WriteFlightReport(w io.Writer, s *flight.Snapshot, lastN int) error {

@@ -2,7 +2,6 @@ package stencil
 
 import (
 	"github.com/bricklab/brick/internal/core"
-	"github.com/bricklab/brick/internal/flight"
 )
 
 // ApplyBricksParallel is ApplyBricks with an explicit worker count: the
@@ -56,35 +55,6 @@ func ApplyBricksSpans(dst, src core.Brick, dec *core.BrickDecomp, st Stencil, ma
 			}
 		}
 	})
-}
-
-// ApplyBricksTiles applies the stencil over a precomputed tile list (each
-// tile a [lo, hi) storage-index range, as produced by TileSpans), invoking
-// onTile(t) from the executing worker the moment tile t's bricks are done.
-// The partitioned exchange uses this to fire Pready for exactly the spans a
-// finished tile produced while sibling tiles are still computing. onTile
-// may be nil, in which case this degenerates to a fixed-tiling surface
-// pass. Bit-identity: bricks are independent, so any tiling of the same
-// index set produces Float64bits-identical results.
-func ApplyBricksTiles(dst, src core.Brick, dec *core.BrickDecomp, st Stencil, margin int, tiles [][2]int, workers int, onTile func(tile int)) {
-	ApplyBricksTilesFlight(dst, src, dec, st, margin, tiles, workers, onTile, nil)
-}
-
-// ApplyBricksTilesFlight is ApplyBricksTiles with a flight ring attached:
-// each tile's start and completion is recorded on fl from the executing
-// worker, so a post-mortem ring shows which tile a rank was inside — and
-// which tile never finished — when the world died. A nil ring records
-// nothing.
-func ApplyBricksTilesFlight(dst, src core.Brick, dec *core.BrickDecomp, st Stencil, margin int, tiles [][2]int, workers int, onTile func(tile int), fl *flight.Ring) {
-	checkBrickApply(dec, st, margin)
-	for _, tl := range tiles {
-		if tl[0] < 0 || tl[1] > dec.NumBricks() || tl[0] > tl[1] {
-			panic("stencil: brick tile out of bounds")
-		}
-	}
-	DefaultPool().ForTilesFlight(workers, tiles, func(lo, hi int) {
-		applyBrickRange(dst, src, dec, st, margin, lo, hi)
-	}, onTile, fl)
 }
 
 // applyBrickRange applies the stencil to bricks with storage indices in

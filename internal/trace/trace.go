@@ -31,12 +31,10 @@ const (
 	// path in cmd/obsreport when they dominate a step.
 	KindCkpt     Kind = "ckpt"
 	KindRecovery Kind = "recovery"
-	// Flight-recorder export kinds (flight.ToTrace): surface tiles, step
-	// boundaries, partition readiness/delivery, and world aborts, so flight
-	// rings render in the same Chrome-trace viewers as live traces.
-	KindTile    Kind = "tile"
+	// Flight-recorder export kinds (flight.ToTrace): step boundaries,
+	// deliveries, and world aborts, so flight rings render in the same
+	// Chrome-trace viewers as live traces.
 	KindStep    Kind = "step"
-	KindPready  Kind = "pready"
 	KindDeliver Kind = "deliver"
 	KindAbort   Kind = "abort"
 )
